@@ -31,6 +31,10 @@ def main():
     """
 
 
+# config key that --samples sets, per experiment that draws samples
+_SAMPLES_KEY = {"rate-penalty": "n_samples", "ber-vs-rate": "n_symbols"}
+
+
 def _experiment_command(experiment: str, help_text: str):
     @main.command(name=experiment, help=help_text)
     @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -41,14 +45,14 @@ def _experiment_command(experiment: str, help_text: str):
     @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
                   help="Output CSV path override.")
     @click.option("--workers", type=int, default=None, help="Worker count override.")
-    @click.option("--samples", type=int, default=None, help="Monte Carlo sample count override.")
+    @click.option("--samples", type=int, default=None,
+                  help="Monte Carlo sample count override (symbols per rate for ber-vs-rate).")
     def command(config_path, seed, snr_db, out_path, workers, samples):
-        overrides = {
-            "seed": seed,
-            "n_workers": workers,
-            "n_samples": samples,
-            "out": out_path,
-        }
+        overrides = {"seed": seed, "n_workers": workers, "out": out_path}
+        if samples is not None:
+            if experiment not in _SAMPLES_KEY:
+                raise click.ClickException(f"--samples: {experiment} draws no Monte Carlo samples")
+            overrides[_SAMPLES_KEY[experiment]] = samples
         if snr_db is not None:
             overrides["snr_db"] = snr_db
             if experiment == "llr-curves":

@@ -24,12 +24,19 @@ class Constellation:
     (b1, b2, b3) of ``points[i]`` read MSB-first, and the scale ``d``
     normalizes the mean squared amplitude to 0.5 (unit energy for the
     QAM constellation built from two of these).
+
+    The per-bit tables the reference demappers read are built once
+    here: ``class_points[k - 1]`` holds the (class-0, class-1) point
+    arrays of bit k, and ``maxlog_segments[k - 1]`` its max-log segment
+    table (see ``_class_segments``).
     """
 
     points: np.ndarray
     d: float
     labels: np.ndarray
     _label_to_index: dict = field(repr=False, default_factory=dict)
+    class_points: tuple = field(init=False, repr=False, compare=False)
+    maxlog_segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -38,6 +45,11 @@ class Constellation:
         self.labels.setflags(write=False)
         lut = {tuple(lab): i for i, lab in enumerate(self.labels)}
         object.__setattr__(self, "_label_to_index", lut)
+        classes = tuple(
+            _read_only(*(self.points[self.labels[:, k] == b] for b in (0, 1))) for k in range(BITS_PER_SYMBOL)
+        )
+        object.__setattr__(self, "class_points", classes)
+        object.__setattr__(self, "maxlog_segments", tuple(_class_segments(p0, p1) for p0, p1 in classes))
 
     def label_of(self, index: int) -> tuple[int, int, int]:
         b1, b2, b3 = self.labels[index]
@@ -45,6 +57,29 @@ class Constellation:
 
     def index_of_label(self, b1: int, b2: int, b3: int) -> int:
         return self._label_to_index[(b1, b2, b3)]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _class_segments(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Segments of the observation line by nearest point of each class.
+
+    The nearest class-0 point switches at the midpoints of consecutive
+    class-0 points, and likewise for class 1.  Returns the sorted kinks
+    (those midpoints, both classes merged) and, for each of the
+    ``kinks.size + 1`` segments, the nearest class-0 point ``a`` and
+    the nearest class-1 point ``b``.
+    """
+    mids = np.concatenate([(p0[:-1] + p0[1:]) / 2.0, (p1[:-1] + p1[1:]) / 2.0])
+    kinks = np.unique(np.round(mids, 15))
+    probes = np.concatenate([[kinks[0] - 1.0], (kinks[:-1] + kinks[1:]) / 2.0, [kinks[-1] + 1.0]])
+    a = p0[np.argmin((probes[:, None] - p0) ** 2, axis=1)]
+    b = p1[np.argmin((probes[:, None] - p1) ** 2, axis=1)]
+    return _read_only(kinks, a, b)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_number_list(cfg: dict, key: str, minimum: float | None = None) -> list[float]:
     value = cfg.get(key)
     if not isinstance(value, (list, tuple)) or len(value) == 0:
@@ -137,7 +142,7 @@ def validate_config(cfg: dict, experiment: str) -> dict:
     the offending field name on the first problem."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
-    if not isinstance(cfg.get("seed"), int):
+    if not _is_int(cfg.get("seed")):
         raise ConfigError("seed: required integer (no silent nondeterminism)")
     modes = cfg.get("modes")
     if not isinstance(modes, (list, tuple)) or not modes:
@@ -147,25 +152,23 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             raise ConfigError(f"modes: unknown demapper id {mode!r}; expected subset of {MODES}")
     for key in ("n_samples", "n_symbols"):
         n = cfg.get(key)
-        if not isinstance(n, int) or n < 1000:
+        if not _is_int(n) or n < 1000:
             raise ConfigError(f"{key}: must be an integer of at least 1000")
-    if not isinstance(cfg.get("n_workers"), int) or cfg["n_workers"] < 1:
+    if not _is_int(cfg.get("n_workers")) or cfg["n_workers"] < 1:
         raise ConfigError("n_workers: must be a positive integer")
-    if not isinstance(cfg.get("chunk_size"), int) or cfg["chunk_size"] < 1:
+    if not _is_int(cfg.get("chunk_size")) or cfg["chunk_size"] < 1:
         raise ConfigError("chunk_size: must be a positive integer")
     window = cfg.get("input_window_v")
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or not all(isinstance(float(v), float) for v in window)
-        or not float(window[0]) < float(window[1])
-    ):
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
+    vmin, vmax = _require_number_list(cfg, "input_window_v")
+    if not vmin < vmax:
         raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
 
     _require_number_list(cfg, "snr_db")
     if experiment == "llr-curves":
         _require_number_list(cfg, "llr_snr_db")
-        if not isinstance(cfg.get("llr_grid_points"), int) or cfg["llr_grid_points"] < 2:
+        if not _is_int(cfg.get("llr_grid_points")) or cfg["llr_grid_points"] < 2:
             raise ConfigError("llr_grid_points: must be an integer of at least 2")
     if experiment == "ber-vs-rate":
         _require_number_list(cfg, "rates_sps", minimum=0.0)
@@ -185,7 +188,7 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             raise ConfigError(f"dynamics.{key}: must exceed {low}")
     if float(dyn.get("t_plateau_bjt_s", 0.0)) < 0:
         raise ConfigError("dynamics.t_plateau_bjt_s: must be non-negative")
-    if not isinstance(dyn.get("samples_per_symbol"), int) or dyn["samples_per_symbol"] < 2:
+    if not _is_int(dyn.get("samples_per_symbol")) or dyn["samples_per_symbol"] < 2:
         raise ConfigError("dynamics.samples_per_symbol: must be an integer of at least 2")
     return cfg
 
@@ -222,17 +225,17 @@ class Workbench:
 
     def calibrate(self, snr_db: float) -> dict[str, dict[int, AffineMap]]:
         """Per-SNR least-squares output maps against the exact LLRs."""
+        if not self.demappers:
+            return {}
         params = from_snr_db(snr_db)
         grid = calibration_grid(self.c, params.sigma)
-        maps: dict[str, dict[int, AffineMap]] = {}
-        for mode_id, demapper in self.demappers.items():
-            per_bit = {}
-            for k in (1, 2, 3):
-                vout = demap_static(np.asarray(self.imap(grid)), demapper, k)
-                ref = exact_llr(grid, k, self.c, params)
-                per_bit[k] = fit_output_map(k, vout, ref, grid)
-            maps[mode_id] = per_bit
-        return maps
+        # the input voltages and reference LLRs are shared by every mode
+        vin = np.asarray(self.imap(grid))
+        refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
+        return {
+            mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), refs[k], grid) for k in (1, 2, 3)}
+            for mode_id, demapper in self.demappers.items()
+        }
 
     def llr_fns(self, snr_db: float, output_maps: dict[str, dict[int, AffineMap]]) -> dict:
         """LLR callables (r, k) -> array for every configured mode."""

@@ -72,7 +72,9 @@ def mi_summands(bits, llrs) -> np.ndarray:
     b = np.asarray(bits)
     llr = np.asarray(llrs, dtype=float)
     t = np.where(b == 1, -llr, llr)
-    return np.logaddexp(0.0, t) / _LN2
+    # softplus(t) = max(t, 0) + log1p(exp(-|t|)); about half the cost
+    # of np.logaddexp(0, t), equal to it within a few ulps
+    return (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / _LN2
 
 
 def mi_bitwise(bits, llrs) -> float:

@@ -1,23 +1,39 @@
 """Digital reference demappers: exact and max-log LLRs.
 
-Both accept scalar or array observations.  The exact LLR is evaluated
-through a max-shifted log-sum-exp so it neither overflows nor
-underflows at high SNR; the max-log minimum is a brute-force search
-over the four points of each index set.
+Both accept scalar or array observations and read the per-bit tables
+that ``Constellation`` builds once.  The exact LLR is a log-sum-exp
+over each class, shifted by that class's own largest exponent, so it
+neither overflows nor underflows at high SNR; one shift shared by both
+classes would flush the losing class to zero there.  The max-log LLR is
+exactly piecewise linear: on the segment where a is the nearest class-0
+point and b the nearest class-1 point it equals
+SNR * ((r - a)^2 - (r - b)^2) = 2 SNR (b - a) (r - (a + b) / 2),
+so one sorted search for the segment replaces any minimum search.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .constellation import Constellation, index_set
+from .constellation import Constellation
 
 
-def _class_points(c: Constellation, k: int) -> tuple[np.ndarray, np.ndarray]:
-    i0 = index_set(k, 0, c).indices
-    i1 = index_set(k, 1, c).indices
-    return c.points[list(i0)], c.points[list(i1)]
+def _class_logsumexp(r: np.ndarray, pts: np.ndarray, inv: float) -> np.ndarray:
+    """log sum_x exp(-(r - x)^2 * inv) over the points of one class.
+
+    The exponents live in one (points, samples) buffer that is updated
+    in place; the per-sample shift is this class's largest exponent.
+    """
+    e = np.subtract.outer(pts, r)
+    np.square(e, out=e)
+    e *= -inv
+    shift = e.max(axis=0)
+    e -= shift
+    np.exp(e, out=e)
+    out = e.sum(axis=0)
+    np.log(out, out=out)
+    out += shift
+    return out
 
 
 def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
@@ -26,27 +42,21 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     log sum_{i in I_k^1} exp(-(r - x_i)^2 / 2 sigma^2)
       - log sum_{i in I_k^0} exp(-(r - x_i)^2 / 2 sigma^2)
     """
-    p0, p1 = _class_points(c, k)
+    p0, p1 = c.class_points[k - 1]
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
     inv = 1.0 / (2.0 * p.sigma * p.sigma)
-    e1 = -(r_arr[..., None] - p1) ** 2 * inv
-    e0 = -(r_arr[..., None] - p0) ** 2 * inv
-    out = logsumexp(e1, axis=-1) - logsumexp(e0, axis=-1)
-    return float(out[0]) if scalar else out
+    r1 = np.atleast_1d(r_arr)
+    out = _class_logsumexp(r1, p1, inv) - _class_logsumexp(r1, p0, inv)
+    return float(out[0]) if r_arr.ndim == 0 else out
 
 
 def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     """Max-log LLR: SNR * (min_{I_k^0} (r - x)^2 - min_{I_k^1} (r - x)^2)."""
-    p0, p1 = _class_points(c, k)
+    kinks, a, b = c.maxlog_segments[k - 1]
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    d0 = ((r_arr[..., None] - p0) ** 2).min(axis=-1)
-    d1 = ((r_arr[..., None] - p1) ** 2).min(axis=-1)
-    out = p.snr_linear * (d0 - d1)
-    return float(out[0]) if scalar else out
+    seg = np.searchsorted(kinks, r_arr, side="right")
+    out = maxlog_segment_slopes(k, c, p)[seg] * (r_arr - ((a + b) / 2.0)[seg])
+    return float(out) if r_arr.ndim == 0 else out
 
 
 def maxlog_breakpoints(k: int, c: Constellation) -> np.ndarray:
@@ -57,9 +67,7 @@ def maxlog_breakpoints(k: int, c: Constellation) -> np.ndarray:
     the two class minima is piecewise linear with kinks at exactly
     those midpoints.
     """
-    p0, p1 = _class_points(c, k)
-    mids = np.concatenate([(p0[:-1] + p0[1:]) / 2.0, (p1[:-1] + p1[1:]) / 2.0])
-    return np.unique(np.round(mids, 15))
+    return c.maxlog_segments[k - 1][0]
 
 
 def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
@@ -69,9 +77,5 @@ def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
     class-1 point, the LLR is SNR * ((r-a)^2 - (r-b)^2), with slope
     2 * SNR * (b - a).
     """
-    p0, p1 = _class_points(c, k)
-    bks = maxlog_breakpoints(k, c)
-    probes = np.concatenate([[bks[0] - 1.0], (bks[:-1] + bks[1:]) / 2.0, [bks[-1] + 1.0]])
-    a = p0[np.argmin((probes[:, None] - p0) ** 2, axis=1)]
-    b = p1[np.argmin((probes[:, None] - p1) ** 2, axis=1)]
+    _, a, b = c.maxlog_segments[k - 1]
     return 2.0 * p.snr_linear * (b - a)

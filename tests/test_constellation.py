@@ -96,6 +96,13 @@ class TestIndexSets:
             assert s0 | s1 == set(range(8))
             assert s0 & s1 == set()
 
+    def test_cached_class_points_match_index_sets(self, c):
+        for k in (1, 2, 3):
+            for b in (0, 1):
+                cached = c.class_points[k - 1][b]
+                np.testing.assert_array_equal(cached, c.points[list(index_set(k, b, c).indices)])
+                assert not cached.flags.writeable
+
     def test_invalid_arguments_rejected(self, c):
         with pytest.raises(ValueError):
             index_set(0, 0, c)

@@ -50,6 +50,8 @@ class TestConfigValidation:
             ("snr_db", [], "snr_db"),
             ("snr_db", ["low"], "not a number"),
             ("input_window_v", [0.6, 0.1], "input_window_v"),
+            ("seed", True, "seed"),
+            ("input_window_v", ["a", 0.6], "input_window_v"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -231,3 +233,24 @@ class TestCli:
         body = out.read_text()
         assert ",3" in body  # seed column
         assert body.splitlines()[1].startswith("10.0,")
+
+    def test_samples_sets_symbols_for_ber_vs_rate(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("rates_sps: [1.0e8]\nmodes: [analog-mosfet]\n")
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main,
+            ["ber-vs-rate", "--config", str(cfg_path), "--samples", "2000", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        bits = header.index("bits")
+        assert {row[bits] for row in rows} == {"6000"}
+
+    @pytest.mark.parametrize("experiment", ["llr-curves", "transitions"])
+    def test_samples_rejected_where_nothing_is_sampled(self, tmp_path, experiment):
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(main, [experiment, "--samples", "2000", "--out", str(out)])
+        assert result.exit_code != 0
+        assert "--samples" in result.output
+        assert not out.exists()

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demapsim
 from demapsim.channel import from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import (
@@ -59,6 +64,17 @@ class TestExactLlr:
         vals = [exact_llr(r, k, c, p) for k in (1, 2, 3) for r in (-10.0, 10.0)]
         assert all(math.isfinite(v) for v in vals)
 
+    def test_finite_and_symmetric_at_60db_and_far_tails(self, c):
+        # one log-sum-exp shift shared by both classes would flush the
+        # losing class to exp(-huge) = 0 here and return an infinite LLR
+        p = from_snr_db(60.0)
+        r = np.concatenate([np.linspace(0.0, 3.0, 301), [10.0, 100.0, 1e3]])
+        for k in (1, 2, 3):
+            pos, neg = exact_llr(r, k, c, p), exact_llr(-r, k, c, p)
+            assert np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))
+            mirrored = -neg if k == 1 else neg
+            np.testing.assert_allclose(pos, mirrored, rtol=1e-12, atol=1e-9)
+
 
 class TestMaxlogLlr:
     def test_zero_observation_msb(self, c, p10):
@@ -81,6 +97,18 @@ class TestMaxlogLlr:
                 for r in rng.uniform(-3, 3, 40):
                     expected = brute_maxlog_llr(float(r), k, c, p.snr_linear)
                     assert maxlog_llr(float(r), k, c, p) == pytest.approx(expected, abs=1e-12)
+
+    def test_against_brute_force_at_kinks_points_and_high_snr(self, c):
+        rng = np.random.default_rng(11)
+        for snr in (0.0, 16.0, 30.0):
+            p = from_snr_db(snr)
+            for k in (1, 2, 3):
+                r = np.concatenate([maxlog_breakpoints(k, c), c.points, rng.uniform(-3, 3, 200)])
+                got = maxlog_llr(r, k, c, p)
+                for rr, llr in zip(r, got):
+                    expected = brute_maxlog_llr(float(rr), k, c, p.snr_linear)
+                    assert llr == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                    assert maxlog_llr(float(rr), k, c, p) == llr
 
     def test_piecewise_linear(self, c, p10):
         # second differences vanish away from the finitely many kinks
@@ -157,3 +185,12 @@ class TestAgreementProperties:
             ml_cross = r[:-1][np.diff(np.sign(ml)) != 0]
             for rr in r[disagree]:
                 assert np.min(np.abs(rr - ml_cross)) < window_limit
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(demapsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, demapsim; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
