@@ -25,6 +25,7 @@ import yaml
 from .calibration import AffineMap
 from .channel import from_snr_db
 from .constellation import Constellation
+from .metrics import _softplus_
 from .reference import maxlog_breakpoints, maxlog_segment_slopes, maxlog_llr
 
 VDD_DEFAULT = 1.6  # supply rail, volts
@@ -78,17 +79,29 @@ def _hinge_drive(vin: np.ndarray, cell: CellSpec) -> np.ndarray:
     return vin - cell.vref
 
 
-def cell_output_v(vin, cell: CellSpec):
+def cell_output_v(vin, cell: CellSpec, *, check_finite: bool = True):
     """Signed contribution of one cell, in output volts.
 
     Ideal form (knee_eps = 0): min(gain * max(u, 0), isat_v) with u the
     drive past vref on the ramping side.  For knee_eps > 0 both corners
-    use the softplus hinge eps * ln(1 + exp(u / eps)), the saturation
+    use the softplus hinge eps * softplus(u / eps), the saturation
     corner with the gain-scaled eps so its width in input volts matches
-    the turn-on corner.
+    the turn-on corner:
+
+        y = gain * eps * softplus(u / eps)
+        y = isat_v - gain * eps * softplus((isat_v - y) / (gain * eps))
+
+    softplus(x) = max(x, 0) + log1p(exp(-min(|x|, 700))) is computed in
+    place in the drive buffer.  The clamp matters here: at the 1 mV BJT
+    knee both arguments reach several hundred to over a thousand on
+    Monte Carlo observations, where an unclamped exp(-|x|) would take
+    numpy's subnormal and underflow path, about 30 times slower per
+    value.  Past the clamp the log1p term is below 1e-304, far under
+    one ulp of the output.  ``check_finite=False`` skips the finiteness
+    scan for a caller that has already made it.
     """
     vin_arr = np.asarray(vin, dtype=float)
-    if not np.all(np.isfinite(vin_arr)):
+    if check_finite and not np.all(np.isfinite(vin_arr)):
         raise ValueError("input voltage must be finite")
     scalar = vin_arr.ndim == 0
     u = _hinge_drive(np.atleast_1d(vin_arr), cell)
@@ -96,14 +109,20 @@ def cell_output_v(vin, cell: CellSpec):
         y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
     else:
         eps = cell.knee_eps
-        y = cell.gain * eps * np.logaddexp(0.0, u / eps)
         eps_v = cell.gain * eps
+        u /= eps
+        y = _softplus_(u)
+        y *= eps_v
         if eps_v > 0.0:
-            y = cell.isat_v - eps_v * np.logaddexp(0.0, (cell.isat_v - y) / eps_v)
+            np.subtract(cell.isat_v, y, out=y)
+            y /= eps_v
+            _softplus_(y)
+            y *= eps_v
+            np.subtract(cell.isat_v, y, out=y)
         else:
-            y = np.minimum(y, cell.isat_v)
+            np.minimum(y, cell.isat_v, out=y)
     if cell.polarity == "neg":
-        y = -y
+        np.negative(y, out=y)
     return float(y[0]) if scalar else y
 
 
@@ -301,9 +320,11 @@ def demap_static(vin, d: AnalogDemapper, k: int):
     vin_arr = np.asarray(vin, dtype=float)
     scalar = vin_arr.ndim == 0
     vin_arr = np.atleast_1d(vin_arr)
+    if not np.all(np.isfinite(vin_arr)):
+        raise ValueError("input voltage must be finite")
     total = np.zeros_like(vin_arr)
     for cell in cell_list:
-        total += cell_output_v(vin_arr, cell)
+        total += cell_output_v(vin_arr, cell, check_finite=False)
     out = d.vdd - total
     return float(out[0]) if scalar else out
 

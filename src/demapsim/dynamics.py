@@ -217,7 +217,7 @@ def ber_vs_rate(
                 v_s = sampled_outputs(vin, targets, flags, rate, dp)
                 m = output_maps[k]
                 llr = m.scale * v_s + m.offset
-                errors += int(np.sum((llr >= 0.0).astype(int) != bits[:, k - 1]))
+                errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
             return errors
 
         jobs = list(enumerate(sizes))

@@ -119,22 +119,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_number(value, field: str, minimum: float | None = None, *, inclusive: bool = False) -> float:
+    """A finite number that is not a bool, above ``minimum`` (or at
+    least ``minimum`` if ``inclusive``); ConfigError naming ``field``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: {value!r} is not a number") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{field}: {value!r} is not finite")
+    if minimum is not None and (x < minimum if inclusive else x <= minimum):
+        raise ConfigError(f"{field}: {value!r} must be {'at least' if inclusive else 'above'} {minimum}")
+    return x
+
+
 def _require_number_list(cfg: dict, key: str, minimum: float | None = None) -> list[float]:
     value = cfg.get(key)
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(f"{key}: must be a non-empty list of numbers")
-    out = []
-    for item in value:
-        try:
-            x = float(item)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: entry {item!r} is not a number") from None
-        if not np.isfinite(x):
-            raise ConfigError(f"{key}: entry {item!r} is not finite")
-        if minimum is not None and x <= minimum:
-            raise ConfigError(f"{key}: entry {item!r} must exceed {minimum}")
-        out.append(x)
-    return out
+    return [_require_number(item, key, minimum) for item in value]
+
+
+def _require_mapping(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: must be a mapping")
+    return value
 
 
 def validate_config(cfg: dict, experiment: str) -> dict:
@@ -172,24 +183,24 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             raise ConfigError("llr_grid_points: must be an integer of at least 2")
     if experiment == "ber-vs-rate":
         _require_number_list(cfg, "rates_sps", minimum=0.0)
-        try:
-            float(cfg.get("ber_snr_db"))
-        except (TypeError, ValueError):
-            raise ConfigError("ber_snr_db: must be a number") from None
-    dyn = cfg.get("dynamics")
-    if not isinstance(dyn, dict):
-        raise ConfigError("dynamics: must be a mapping")
-    for key, low in (("tau_s", 0.0), ("sample_fraction", 0.0)):
-        try:
-            x = float(dyn.get(key))
-        except (TypeError, ValueError):
-            raise ConfigError(f"dynamics.{key}: must be a number") from None
-        if not x > low:
-            raise ConfigError(f"dynamics.{key}: must exceed {low}")
-    if float(dyn.get("t_plateau_bjt_s", 0.0)) < 0:
-        raise ConfigError("dynamics.t_plateau_bjt_s: must be non-negative")
-    if not _is_int(dyn.get("samples_per_symbol")) or dyn["samples_per_symbol"] < 2:
-        raise ConfigError("dynamics.samples_per_symbol: must be an integer of at least 2")
+        _require_number(cfg.get("ber_snr_db"), "ber_snr_db")
+    dyn = _require_mapping(cfg.get("dynamics"), "dynamics")
+    for key in ("tau_s", "sample_fraction"):
+        _require_number(dyn.get(key), f"dynamics.{key}", 0.0)
+    _require_number(dyn.get("t_plateau_bjt_s"), "dynamics.t_plateau_bjt_s", 0.0, inclusive=True)
+    tr = _require_mapping(cfg.get("transitions"), "transitions")
+    _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
+    for block, field in ((dyn, "dynamics"), (tr, "transitions")):
+        if not _is_int(block.get("samples_per_symbol")) or block["samples_per_symbol"] < 2:
+            raise ConfigError(f"{field}.samples_per_symbol: must be an integer of at least 2")
+    dem = _require_mapping(cfg.get("demapper"), "demapper")
+    _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
+    _require_number(dem.get("snr_ref_db"), "demapper.snr_ref_db")
+    _require_number(dem.get("r_span"), "demapper.r_span", 0.0)
+    for preset in ("bjt", "mosfet"):
+        cell = _require_mapping(dem.get(preset), f"demapper.{preset}")
+        _require_number(cell.get("knee_eps_v"), f"demapper.{preset}.knee_eps_v", 0.0, inclusive=True)
+        _require_number(cell.get("isat_v"), f"demapper.{preset}.isat_v", 0.0)
     return cfg
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's computation paths: the exact-LLR
 oracle is a straight transcription without log-sum-exp stabilization
 (only valid where naive exponentials are safe), the max-log oracle is
-an explicit loop, and the mutual-information oracle is Gauss-Hermite
-quadrature of the defining expectation.
+an explicit loop, the mutual-information oracle is Gauss-Hermite
+quadrature of the defining expectation, and the analog cell oracle is
+the softplus hinge written with np.logaddexp.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from demapsim.analog import AnalogDemapper, CellSpec
 from demapsim.constellation import Constellation, index_set
 
 
@@ -63,3 +65,20 @@ def quadrature_mi_exact(k: int, c: Constellation, sigma: float, n_nodes: int = 1
         integrand = np.logaddexp(0.0, t) / math.log(2.0)
         total += (weights @ integrand) / math.sqrt(math.pi) / points.size
     return 1.0 - total
+
+
+def logaddexp_cell_output_v(vin: np.ndarray, cell: CellSpec) -> np.ndarray:
+    """Smoothed cell output with both softplus corners as np.logaddexp."""
+    u = vin - cell.vref if cell.orientation == "ramp_above" else cell.vref - vin
+    eps_v = cell.gain * cell.knee_eps
+    y = eps_v * np.logaddexp(0.0, u / cell.knee_eps)
+    y = cell.isat_v - eps_v * np.logaddexp(0.0, (cell.isat_v - y) / eps_v)
+    return -y if cell.polarity == "neg" else y
+
+
+def logaddexp_demap_static(vin: np.ndarray, d: AnalogDemapper, k: int) -> np.ndarray:
+    """Static output of bit k summed over ``logaddexp_cell_output_v``."""
+    total = np.zeros_like(vin)
+    for cell in d.cells_for_bit(k):
+        total += logaddexp_cell_output_v(vin, cell)
+    return d.vdd - total

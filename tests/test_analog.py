@@ -21,7 +21,7 @@ from demapsim.channel import from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import maxlog_llr
 
-from oracles import brute_maxlog_llr
+from oracles import brute_maxlog_llr, logaddexp_cell_output_v, logaddexp_demap_static
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,52 @@ class TestDemapStatic:
                 even_hi = demap_static(0.32 + x, dm, k)
                 even_lo = demap_static(0.32 - x, dm, k)
                 assert np.abs(even_hi - even_lo).max() < 1e-9
+
+
+class TestSoftplusKernel:
+    """The in-place, clamped softplus against the np.logaddexp form."""
+
+    # 2 ulp of the 1.6 V supply
+    ATOL = 4.5e-16
+
+    @pytest.fixture(scope="class", params=["bjt", "mosfet"])
+    def dm(self, request, c, imap):
+        return build_demapper(c, imap, request.param)
+
+    @pytest.fixture(scope="class")
+    def vin(self, imap):
+        # the paper's observation range densely, then far tails
+        r = np.concatenate([np.linspace(-3.0, 3.0, 20001), np.linspace(-1e3, 1e3, 2001)])
+        return np.asarray(imap(r))
+
+    def test_cells_match_logaddexp_oracle(self, dm, vin):
+        drive = max(np.abs(vin - cell.vref).max() / cell.knee_eps for cell in dm.cells_for_bit(1))
+        assert drive > 745.0  # past the float64 underflow of exp(-|u / eps|)
+        for k in (1, 2, 3):
+            for cell in dm.cells_for_bit(k):
+                y = cell_output_v(vin, cell)
+                assert np.all(np.isfinite(y))
+                np.testing.assert_allclose(y, logaddexp_cell_output_v(vin, cell), rtol=0, atol=self.ATOL)
+
+    def test_demap_static_matches_logaddexp_oracle(self, dm, vin):
+        for k in (1, 2, 3):
+            out = demap_static(vin, dm, k)
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out, logaddexp_demap_static(vin, dm, k), rtol=0, atol=self.ATOL)
+
+    def test_scalar_equals_array_element(self, dm, vin):
+        cell = dm.cells_for_bit(2)[0]
+        for j in (0, 10000, vin.size - 1):
+            y = cell_output_v(float(vin[j]), cell)
+            assert isinstance(y, float) and y == cell_output_v(vin, cell)[j]
+            out = demap_static(float(vin[j]), dm, 2)
+            assert isinstance(out, float) and out == demap_static(vin, dm, 2)[j]
+
+    def test_non_finite_input_rejected(self, dm):
+        with pytest.raises(ValueError, match="finite"):
+            demap_static(float("nan"), dm, 1)
+        with pytest.raises(ValueError, match="finite"):
+            demap_static(np.array([0.3, np.inf]), dm, 3)
 
 
 class TestDemapperLifecycle:

@@ -59,6 +59,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             validate_config(cfg, "rate-penalty")
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("dynamics.t_plateau_bjt_s", "a"),
+            ("ber_snr_db", True),
+            ("transitions.samples_per_symbol", 1),
+            ("demapper.bjt.knee_eps_v", -1e-3),
+            ("demapper.mosfet.knee_eps_v", "a"),
+            ("demapper.bjt.isat_v", -0.3),
+            ("demapper.mosfet.isat_v", None),
+        ],
+    )
+    def test_nested_field_errors_name_the_dotted_path(self, path, value):
+        cfg = small_config()
+        *parents, leaf = path.split(".")
+        block = cfg
+        for key in parents:
+            block = block[key]
+        block[leaf] = value
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            validate_config(cfg, "ber-vs-rate")
+
     def test_dynamics_fields_checked(self):
         cfg = small_config()
         cfg["dynamics"] = dict(cfg["dynamics"], tau_s=0.0)

@@ -9,8 +9,10 @@ from demapsim.metrics import (
     energy_per_bit,
     evaluate_demappers,
     gmi,
+    _softplus_,
     hard_decide,
     mi_bitwise,
+    mi_summands,
     rate_penalty,
 )
 from demapsim.reference import exact_llr, maxlog_llr
@@ -51,6 +53,29 @@ class TestMiBitwise:
         )["exact"]
         oracle = quadrature_mi_exact(1, c, p.sigma)
         assert abs(ev.gmi_est.per_bit_mi[0] - oracle) < 3 * ev.gmi_est.per_bit_se[0]
+
+
+class TestSoftplus:
+    def test_matches_logaddexp_inside_the_clamp(self):
+        x = np.concatenate([np.linspace(-700.0, 700.0, 200001), np.linspace(-40.0, 40.0, 8001)])
+        np.testing.assert_allclose(_softplus_(x.copy()), np.logaddexp(0.0, x), rtol=4.5e-16, atol=0)
+
+    def test_far_tails_past_the_clamp(self):
+        x = np.array([-1e300, -1e4, -745.5, -700.5, 700.5, 745.5, 1e4, 1e300])
+        y = _softplus_(x.copy())
+        assert np.all((y[:4] > 0.0) & (y[:4] < 1e-304))
+        np.testing.assert_array_equal(y[4:], x[4:])
+
+    def test_works_in_place(self):
+        x = np.array([-3.0, 0.0, 2.5])
+        assert _softplus_(x) is x and x[1] == np.log(2.0)
+
+    def test_mi_summands_take_the_sign_from_the_bit(self):
+        llrs = np.array([-800.0, -2.0, 0.0, 2.0, 800.0])
+        np.testing.assert_allclose(
+            mi_summands(np.zeros(5, dtype=int), llrs), np.logaddexp(0.0, llrs) / np.log(2.0), rtol=4.5e-16, atol=1e-303
+        )
+        np.testing.assert_array_equal(mi_summands(np.ones(5, dtype=int), llrs), mi_summands(np.zeros(5, dtype=int), -llrs))
 
 
 class TestScalarMetrics:
