@@ -43,10 +43,10 @@ class DynamicsParams:
             raise ValueError("sample_fraction must lie in (0, 1]")
 
     @classmethod
-    def for_mode(cls, mode: str, **kwargs) -> "DynamicsParams":
-        plateau = T_PLATEAU_BJT if mode == "bjt" else 0.0
+    def for_mode(cls, mode: str, *, t_plateau_bjt: float = T_PLATEAU_BJT, **kwargs) -> "DynamicsParams":
+        """Parameters of a demapper preset: the plateau applies in BJT mode only."""
         kwargs.setdefault("tau", TAU_DEFAULT)
-        kwargs.setdefault("t_plateau", plateau)
+        kwargs.setdefault("t_plateau", t_plateau_bjt if mode == "bjt" else 0.0)
         return cls(**kwargs)
 
 
@@ -67,12 +67,7 @@ class TransientTrace:
 def detect_saturation_exit(prev_vin: float, next_vin: float, cells) -> bool:
     """True iff some cell is at zero ideal output before the step and
     strictly active after it."""
-    return bool(
-        any(
-            (not cell_ideal_active(prev_vin, cell)) and cell_ideal_active(next_vin, cell)
-            for cell in cells
-        )
-    )
+    return bool(_exit_flags(np.array([prev_vin, next_vin], dtype=float), cells)[1])
 
 
 def _exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
@@ -141,32 +136,65 @@ def sampled_outputs(
 ) -> np.ndarray:
     """Output voltage at the sampling instant of every symbol.
 
-    Closed-form per-symbol update of the settling state; equivalent to
-    sampling ``simulate_transient`` but without building the trace.
+    Equivalent to sampling ``simulate_transient`` at ``sample_fraction``
+    of each symbol, without building the trace.  The plateau left at
+    symbol i depends only on the symbols since the last saturation exit
+    (``flags[0]`` is ignored), so it is looked up in a short table of the
+    values a plateau passes through, one period at a time; the table
+    also holds, per plateau value, whether the sample and the symbol end
+    are held and the decay factors that apply otherwise.  The boundary
+    voltages follow v_b[i] = a[i]*v_b[i-1] + (1 - a[i])*tgt[i], with
+    a = 1 for a symbol held to its end, computed by a log-depth prefix
+    scan; each sample then follows from v_b[i-1] in one step.
     """
     period = 1.0 / symbol_rate
     ts = dp.sample_fraction * period
     tau = dp.tau
     n = vin_seq.size
+    tgt = np.asarray(targets, dtype=float)
+
+    # plateau values after an exit, one period apart, then 0.0 for "no
+    # exit yet"; never more entries than there are symbols
+    plateaus = [dp.t_plateau]
+    while plateaus[-1] > 0.0 and len(plateaus) < n:
+        plateaus.append(max(0.0, plateaus[-1] - period))
+    plateaus.append(0.0)
+    hold_s = np.array([ts <= p for p in plateaus])
+    decay_s = np.array([1.0 if ts <= p else math.exp(-(ts - p) / tau) for p in plateaus])
+    decay_b = np.array([1.0 if period <= p else math.exp(-(period - p) / tau) for p in plateaus])
+
+    idx = np.arange(n)
+    last_exit = np.where(flags, idx, -1)
+    last_exit[0] = -1
+    np.maximum.accumulate(last_exit, out=last_exit)
+    row = np.minimum(np.where(last_exit < 0, n, idx - last_exit), len(plateaus) - 1)
+
+    # v_b[i] = a[i]*v_b[i-1] + b[i]; a[0] = 0 starts the trace settled
+    a = decay_b[row]
+    a[0] = 0.0
+    b = (1.0 - a) * tgt
+    _affine_scan_(a, b)
+
     out = np.empty(n)
-    v_b = float(targets[0])
-    out[0] = v_b
-    plateau = 0.0
-    t_list = targets.tolist()
-    f_list = flags.tolist()
-    for i in range(1, n):
-        plateau = dp.t_plateau if f_list[i] else max(0.0, plateau - period)
-        tgt = t_list[i]
-        if ts <= plateau:
-            v_s = v_b
-        else:
-            v_s = tgt + (v_b - tgt) * math.exp(-(ts - plateau) / tau)
-        out[i] = v_s
-        if period <= plateau:
-            pass  # held through the whole symbol
-        else:
-            v_b = tgt + (v_b - tgt) * math.exp(-(period - plateau) / tau)
+    out[0] = tgt[0]
+    prev, t, r = b[:-1], tgt[1:], row[1:]
+    out[1:] = np.where(hold_s[r], prev, t + (prev - t) * decay_s[r])
     return out
+
+
+def _affine_scan_(a: np.ndarray, b: np.ndarray) -> None:
+    """In place: b[i] becomes x[i] of x[i] = a[i]*x[i-1] + b[i] with x[-1] = 0.
+
+    Hillis-Steele doubling: after the step of width d, (a[i], b[i]) is
+    the affine map of elements i-2d+1..i composed.  Once every a[i] is
+    zero the maps no longer reach back, and the remaining steps would
+    add only zeros.
+    """
+    d = 1
+    while d < a.size and a.any():
+        b[d:] += a[d:] * b[:-d]
+        a[d:] *= a[:-d]
+        d *= 2
 
 
 def ber_vs_rate(

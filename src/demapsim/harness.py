@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -282,14 +285,61 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CSV_BLOCK_ROWS = 512
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+_CSV_REPR = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
+
+
+def _csv_quoted(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it when it holds a special character."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_column(values: list) -> list[str]:
+    """The cells of one column of a block, formatted by ``_fmt`` and
+    quoted as ``csv.writer`` quotes them."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _CSV_REPR:
+        first = values[0]
+        # equal non-zero numbers have one repr; 0.0 == -0.0 do not
+        if first != 0 and values.count(first) == len(values):
+            return [_CSV_REPR[kind](first)] * len(values)
+        return list(map(_CSV_REPR[kind], values))
+    if kind is type(None):
+        return [""] * len(values)
+    texts = values if kind is str else list(map(_fmt, values))
+    if _CSV_SPECIAL.search("".join(texts)):
+        texts = [_csv_quoted(t) if _CSV_SPECIAL.search(t) else t for t in texts]
+    return texts
+
+
+def _csv_lines(columns: list[list[str]], n_rows: int) -> str:
+    """The lines of a block of ``n_rows`` rows given its formatted columns."""
+    if not columns:
+        return "\n" * n_rows
+    lines = list(map(",".join, zip(*columns)))
+    if len(columns) == 1:  # csv.writer quotes a lone empty field
+        lines = ['""' if line == "" else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+    """Write the table as ``csv.writer`` does with ``_fmt`` cells.
+
+    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time, one column at a
+    time, and each block is written at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+        fh.write(_csv_lines([_csv_column([name]) for name in fieldnames], 1))
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            columns = [_csv_column([row.get(name) for row in block]) for name in fieldnames]
+            fh.write(_csv_lines(columns, len(block)))
 
 
 def write_metadata(csv_path, cfg: dict, extra: dict) -> Path:
@@ -321,6 +371,18 @@ SWEEP_FIELDS = ["rate_sps", "demapper_id", "errors", "bits", "ber", "seed"]
 TRACE_FIELDS = [
     "demapper_id", "transition", "time_s", "vout_v_b1", "vout_v_b2", "vout_v_b3", "seed",
 ]
+
+
+def _dynamics_params(cfg: dict, demapper: AnalogDemapper, samples_per_symbol: int) -> DynamicsParams:
+    """Settling parameters of ``demapper`` from the ``dynamics`` block."""
+    dyn = cfg["dynamics"]
+    return DynamicsParams.for_mode(
+        demapper.mode,
+        tau=float(dyn["tau_s"]),
+        t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
+        samples_per_symbol=samples_per_symbol,
+        sample_fraction=float(dyn["sample_fraction"]),
+    )
 
 
 def run_llr_curves(cfg: dict) -> tuple[list[dict], dict]:
@@ -426,7 +488,6 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
     snr_db = float(cfg["ber_snr_db"])
     params = from_snr_db(snr_db)
     rates = [float(x) for x in cfg["rates_sps"]]
-    dyn = cfg["dynamics"]
     output_maps = bench.calibrate(snr_db)
     rows = []
 
@@ -455,12 +516,7 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
         if mode_id not in ANALOG_MODES:
             continue
         demapper = bench.demappers[mode_id]
-        dp = DynamicsParams(
-            tau=float(dyn["tau_s"]),
-            t_plateau=float(dyn["t_plateau_bjt_s"]) if mode_id == "analog-bjt" else 0.0,
-            samples_per_symbol=int(dyn["samples_per_symbol"]),
-            sample_fraction=float(dyn["sample_fraction"]),
-        )
+        dp = _dynamics_params(cfg, demapper, int(cfg["dynamics"]["samples_per_symbol"]))
         sweep = ber_vs_rate(
             rates,
             snr_db,
@@ -493,7 +549,6 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
         "+3d_to_+7d": (3.0 * d_scale, 7.0 * d_scale),
         "-7d_to_-5d": (-7.0 * d_scale, -5.0 * d_scale),
     }
-    dyn = cfg["dynamics"]
     tr_cfg = cfg["transitions"]
     rate = float(tr_cfg["symbol_rate_sps"])
     sps = int(tr_cfg["samples_per_symbol"])
@@ -502,12 +557,7 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
         if mode_id not in ANALOG_MODES:
             continue
         demapper = bench.demappers[mode_id]
-        dp = DynamicsParams(
-            tau=float(dyn["tau_s"]),
-            t_plateau=float(dyn["t_plateau_bjt_s"]) if mode_id == "analog-bjt" else 0.0,
-            samples_per_symbol=sps,
-            sample_fraction=float(dyn["sample_fraction"]),
-        )
+        dp = _dynamics_params(cfg, demapper, sps)
         for name, (r_a, r_b) in transitions.items():
             traces = {
                 k: simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)

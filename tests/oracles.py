@@ -4,13 +4,17 @@ These deliberately avoid the library's computation paths: the exact-LLR
 oracle is a straight transcription without log-sum-exp stabilization
 (only valid where naive exponentials are safe), the max-log oracle is
 an explicit loop, the mutual-information oracle is Gauss-Hermite
-quadrature of the defining expectation, and the analog cell oracle is
-the softplus hinge written with np.logaddexp.
+quadrature of the defining expectation, the analog cell oracle is
+the softplus hinge written with np.logaddexp, the settling oracle is the
+per-symbol loop, and the CSV oracle is ``csv.writer`` fed one formatted
+cell at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -82,3 +86,53 @@ def logaddexp_demap_static(vin: np.ndarray, d: AnalogDemapper, k: int) -> np.nda
     for cell in d.cells_for_bit(k):
         total += logaddexp_cell_output_v(vin, cell)
     return d.vdd - total
+
+
+def loop_sampled_outputs(vin_seq, targets, flags, symbol_rate: float, dp) -> np.ndarray:
+    """Sampled settling outputs by an explicit per-symbol loop."""
+    period = 1.0 / symbol_rate
+    ts = dp.sample_fraction * period
+    tau = dp.tau
+    n = vin_seq.size
+    out = np.empty(n)
+    v_b = float(targets[0])
+    out[0] = v_b
+    plateau = 0.0
+    t_list = targets.tolist()
+    f_list = flags.tolist()
+    for i in range(1, n):
+        plateau = dp.t_plateau if f_list[i] else max(0.0, plateau - period)
+        tgt = t_list[i]
+        if ts <= plateau:
+            v_s = v_b
+        else:
+            v_s = tgt + (v_b - tgt) * math.exp(-(ts - plateau) / tau)
+        out[i] = v_s
+        if period <= plateau:
+            pass  # held through the whole symbol
+        else:
+            v_b = tgt + (v_b - tgt) * math.exp(-(period - plateau) / tau)
+    return out
+
+
+def _fmt_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_writer_write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+    """CSV table written row by row through ``csv.writer``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_fmt_cell(row.get(name)) for name in fieldnames])

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
+from demapsim import dynamics
 from demapsim.analog import build_demapper, demap_static
 from demapsim.calibration import calibration_grid, fit_output_map, input_map
-from demapsim.channel import from_snr_db
+from demapsim.channel import from_snr_db, transmit
 from demapsim.constellation import build_pam8
 from demapsim.dynamics import (
     DynamicsParams,
+    _exit_flags,
     ber_vs_rate,
     detect_saturation_exit,
+    sampled_outputs,
     simulate_transient,
 )
+from demapsim.harness import DEFAULT_CONFIG
 from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr
 from demapsim.analog import CellSpec
+from oracles import loop_sampled_outputs
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +205,112 @@ class TestBerVsRate:
             ber_vs_rate([-1.0], self.SNR, bjt, maps, bjt_params(), 1000, 1, c)
         with pytest.raises(ValueError):
             ber_vs_rate([1e8], self.SNR, bjt, maps, bjt_params(), 0, 1, c)
+
+
+DEFAULT_RATES = [float(x) for x in DEFAULT_CONFIG["rates_sps"]]
+
+
+def settling_inputs(d, k, n, seed, snr_db=10.0):
+    """Noisy random symbols as input voltages, static targets and exit flags."""
+    c = build_pam8()
+    rng = np.random.default_rng(seed)
+    r = transmit(c.points[rng.integers(0, c.points.size, n)], from_snr_db(snr_db), rng)
+    vin = np.asarray(d.input_map(r), dtype=float)
+    return vin, demap_static(vin, d, k), _exit_flags(vin, d.cells_for_bit(k))
+
+
+class TestSampledOutputs:
+    """The vectorized settling path against the per-symbol loop."""
+
+    ATOL = 1e-14
+
+    def assert_matches_loop(self, vin, targets, flags, rate, dp):
+        got = sampled_outputs(vin, targets, flags, rate, dp)
+        want = loop_sampled_outputs(vin, targets, flags, rate, dp)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
+
+    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("rate", DEFAULT_RATES + [1e9, 2e9])
+    def test_matches_loop_at_every_rate(self, c, imap, preset, rate):
+        d = build_demapper(c, imap, preset)
+        dp = DynamicsParams.for_mode(preset)
+        for k in (1, 2, 3):
+            vin, targets, flags = settling_inputs(d, k, 3000, seed=int(rate) % 997 + k)
+            if preset == "bjt":
+                assert flags.any()
+            self.assert_matches_loop(vin, targets, flags, rate, dp)
+
+    def test_period_equal_to_plateau(self, bjt):
+        dp = bjt_params()
+        assert 1.0 / 5e8 == dp.t_plateau
+        vin, targets, flags = settling_inputs(bjt, 1, 2000, seed=3)
+        self.assert_matches_loop(vin, targets, flags, 5e8, dp)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_shortest_sequences(self, bjt, n):
+        vin, targets, _ = settling_inputs(bjt, 1, n, seed=5)
+        for flags in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+            for rate in (1e8, 5e8, 2e9):
+                self.assert_matches_loop(vin, targets, flags, rate, bjt_params())
+        assert sampled_outputs(vin, targets, np.ones(n, dtype=bool), 1e8, bjt_params())[0] == targets[0]
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["last", "all", "none", "every-third"],
+    )
+    def test_flag_patterns(self, bjt, pattern):
+        n = 64
+        vin, targets, _ = settling_inputs(bjt, 2, n, seed=7)
+        flags = np.zeros(n, dtype=bool)
+        if pattern == "last":
+            flags[-1] = True
+        elif pattern == "all":
+            flags[:] = True
+        elif pattern == "every-third":
+            flags[::3] = True
+        for rate in DEFAULT_RATES + [1e9, 2e9]:
+            self.assert_matches_loop(vin, targets, flags, rate, bjt_params())
+
+    def test_zero_plateau_with_flags(self, bjt):
+        dp = bjt_params(t_plateau=0.0)
+        vin, targets, flags = settling_inputs(bjt, 1, 2000, seed=9)
+        assert flags.any()
+        for rate in (5e7, 5e8, 2e9):
+            self.assert_matches_loop(vin, targets, flags, rate, dp)
+
+    def test_plateau_longer_than_the_sequence(self, bjt):
+        dp = bjt_params(t_plateau=1e-6)
+        vin, targets, flags = settling_inputs(bjt, 1, 300, seed=13)
+        for rate in (5e8, 2e9):
+            self.assert_matches_loop(vin, targets, flags, rate, dp)
+
+    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("sps, fraction", [(20, 0.95), (16, 0.5), (4, 1.0)])
+    def test_equals_sampled_transient(self, c, imap, preset, sps, fraction):
+        """The docstring's claim: the samples of ``simulate_transient`` at
+        step ``round(fraction * sps)`` of each symbol."""
+        d = build_demapper(c, imap, preset)
+        dp = DynamicsParams.for_mode(preset, samples_per_symbol=sps, sample_fraction=fraction)
+        at = np.arange(120) * sps + round(fraction * sps)
+        rng = np.random.default_rng(sps)
+        for k in (1, 2, 3):
+            seq = transmit(c.points[rng.integers(0, c.points.size, 120)], from_snr_db(10.0), rng)
+            vin = np.asarray(d.input_map(seq), dtype=float)
+            targets = demap_static(vin, d, k)
+            flags = _exit_flags(vin, d.cells_for_bit(k))
+            for rate in DEFAULT_RATES + [1e9]:
+                trace = simulate_transient(seq, rate, d, k, dp)
+                got = sampled_outputs(vin, targets, flags, rate, dp)
+                np.testing.assert_allclose(got, trace.vout[at], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 101, 12345])
+    def test_ber_vs_rate_counts_equal_the_loop(self, c, imap, bjt, mosfet, monkeypatch, seed):
+        runs = {}
+        for name, fn in (("vectorized", sampled_outputs), ("loop", loop_sampled_outputs)):
+            monkeypatch.setattr(dynamics, "sampled_outputs", fn)
+            runs[name] = [
+                ber_vs_rate(DEFAULT_RATES, 10.0, dm, output_maps_for(dm, c, imap, 10.0), dp, 4000, seed, c)
+                for dm, dp in ((bjt, bjt_params()), (mosfet, mosfet_params()))
+            ]
+        assert runs["vectorized"] == runs["loop"]

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,7 +15,9 @@ from demapsim.harness import (
     run_experiment,
     run_llr_curves,
     validate_config,
+    write_csv,
 )
+from oracles import csv_writer_write_csv
 
 SMALL = {
     "seed": 11,
@@ -276,3 +279,81 @@ class TestCli:
         assert result.exit_code != 0
         assert "--samples" in result.output
         assert not out.exists()
+
+
+class TestWriteCsv:
+    """The block-wise writer against ``csv.writer`` row by row, byte for byte."""
+
+    FIELDS = ["x", "n", "name", "flag", "opt", "mixed"]
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, fieldnames, rows):
+        write_csv(tmp_path / "new.csv", fieldnames, rows)
+        csv_writer_write_csv(tmp_path / "old.csv", fieldnames, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def typed_rows(n):
+        rng = np.random.default_rng(n)
+        mixed = [None, True, np.bool_(False), np.int64(-3), np.float32(0.1), np.float64(1e-300),
+                 2.5, 7, "text", float("inf"), float("nan"), -0.0]
+        return [
+            {
+                "x": float(rng.normal()) * 10.0 ** int(rng.integers(-20, 20)),
+                "n": int(rng.integers(-(10**12), 10**12)),
+                "name": ("analog-bjt", "exact")[i % 2],
+                "flag": bool(i % 3),
+                "opt": None if i < n // 2 else float(i) / 7.0,
+                "mixed": mixed[i % len(mixed)],
+            }
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1500])
+    def test_block_edges_and_typed_columns(self, tmp_path, n):
+        self.assert_same_bytes(tmp_path, self.FIELDS, self.typed_rows(n))
+
+    def test_numpy_scalars_in_whole_columns(self, tmp_path):
+        rows = [
+            {"b": np.bool_(i % 2), "i": np.int32(i), "f": np.float64(i / 3.0), "g": np.float32(i / 3.0)}
+            for i in range(600)
+        ]
+        self.assert_same_bytes(tmp_path, ["b", "i", "f", "g"], rows)
+
+    def test_optional_float_column_across_a_block(self, tmp_path):
+        # the llr-curves gamma/zeta columns: None on exact rows, floats on analog rows
+        rows = [{"gamma": None if i < 700 else 1.5 + i, "zeta": None} for i in range(1300)]
+        self.assert_same_bytes(tmp_path, ["gamma", "zeta"], rows)
+
+    def test_constant_and_signed_zero_columns(self, tmp_path):
+        nan = float("nan")
+        rows = [
+            {
+                "const": 2.5,
+                "zero": -0.0 if i < 512 or i % 5 == 0 else 0.0,
+                "nan": nan if i < 600 else float("nan"),
+                "np": np.float64(-0.0) if i >= 1024 else np.float64(3.0),
+                "int": 0 if i < 512 else 7,
+            }
+            for i in range(1300)
+        ]
+        self.assert_same_bytes(tmp_path, ["const", "zero", "nan", "np", "int"], rows)
+
+    def test_strings_that_need_quoting(self, tmp_path):
+        texts = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " padded ", "plain", '"', ","]
+        rows = [{"s": t, "t": "ok", "u": i} for i, t in enumerate(texts * 70)]
+        self.assert_same_bytes(tmp_path, ["s", "t", "u"], rows)
+        self.assert_same_bytes(tmp_path, ["with,comma", 'with"quote', "s"], rows)
+
+    @pytest.mark.parametrize("values", [[None, 1.0, None], ["", "a", ""], [None] * 513])
+    def test_single_field_table(self, tmp_path, values):
+        self.assert_same_bytes(tmp_path, ["only"], [{"only": v} for v in values])
+        self.assert_same_bytes(tmp_path, [""], [{"": v} for v in values])
+
+    def test_missing_keys_and_no_fields(self, tmp_path):
+        self.assert_same_bytes(tmp_path, ["a", "b"], [{"a": 1}, {}, {"b": 2.0}])
+        self.assert_same_bytes(tmp_path, [], [{"a": 1}] * 3)
+
+    def test_llr_curves_rows(self, tmp_path):
+        rows, _ = run_llr_curves(small_config(llr_snr_db=[0.0, 10.0]))
+        self.assert_same_bytes(tmp_path, LLR_FIELDS, rows)
