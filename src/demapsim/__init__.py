@@ -11,23 +11,20 @@ __version__ = "0.1.0"
 from .analog import (
     AnalogDemapper,
     CellSpec,
-    PwlFunction,
     build_demapper,
     cell_output_v,
     demap_static,
     load_demapper,
-    maxlog_pwl_voltage,
     save_demapper,
     synthesize_cells,
 )
 from .calibration import AffineMap, calibration_grid, fit_output_map, input_map
 from .channel import ChannelParams, from_snr_db, transmit, worker_rng
-from .constellation import Constellation, IndexSet, build_pam8, index_set, map_bits
+from .constellation import Constellation, build_pam8
 from .dynamics import (
     DynamicsParams,
     TransientTrace,
     ber_vs_rate,
-    detect_saturation_exit,
     simulate_transient,
 )
 from .metrics import (
@@ -35,9 +32,6 @@ from .metrics import (
     GmiEstimate,
     energy_per_bit,
     evaluate_demappers,
-    gmi,
-    hard_decide,
-    mi_bitwise,
     rate_penalty,
 )
 from .reference import exact_llr, maxlog_llr
@@ -51,8 +45,6 @@ __all__ = [
     "Constellation",
     "DynamicsParams",
     "GmiEstimate",
-    "IndexSet",
-    "PwlFunction",
     "TransientTrace",
     "ber_vs_rate",
     "build_demapper",
@@ -60,21 +52,14 @@ __all__ = [
     "calibration_grid",
     "cell_output_v",
     "demap_static",
-    "detect_saturation_exit",
     "energy_per_bit",
     "evaluate_demappers",
     "exact_llr",
     "fit_output_map",
     "from_snr_db",
-    "gmi",
-    "hard_decide",
-    "index_set",
     "input_map",
     "load_demapper",
-    "map_bits",
     "maxlog_llr",
-    "maxlog_pwl_voltage",
-    "mi_bitwise",
     "rate_penalty",
     "save_demapper",
     "simulate_transient",

@@ -6,13 +6,15 @@ branch and the combined output is pulled down from the supply rail.
 All currents appear as output-voltage drops (I times R_out), so the
 whole model runs in volts.
 
-``synthesize_cells`` decomposes any continuous piecewise-linear target
-into such cells: one cell per interior slope change, anchored so that
-every ramp saturates exactly at a range edge.  Interior cells ramp
-toward the lower edge and the final segment is covered by one upward
-ramp; with this orientation the only cells that leave their zero-output
-state on an upward input step are the ones guarding the top of the
-range, which is what the settling model in ``dynamics`` relies on.
+``synthesize_cells`` decomposes any continuous piecewise-linear target,
+given as its breakpoints and per-segment slopes, into such cells: one
+cell per interior slope change, anchored so that every ramp saturates
+exactly at a range edge.  ``build_demapper`` feeds it the max-log LLR
+of each bit mapped to input volts.  Interior cells ramp toward the
+lower edge and the final segment is covered by one upward ramp; with
+this orientation the only cells that leave their zero-output state on
+an upward input step are the ones guarding the top of the range, which
+is what the settling model in ``dynamics`` relies on.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .calibration import AffineMap
 from .channel import from_snr_db
 from .constellation import Constellation
 from .metrics import _softplus_
-from .reference import maxlog_breakpoints, maxlog_segment_slopes, maxlog_llr
+from .reference import maxlog_segment_slopes
 
 VDD_DEFAULT = 1.6  # supply rail, volts
-VIN_WINDOW = (0.04, 0.60)  # constellation mapping window, volts
 VIN_HARD_MAX = 0.64  # input cap keeping the steering pair in saturation
 
 # Per-cell saturation ceiling I_bias * R_out and knee softness defaults
@@ -133,85 +134,14 @@ def cell_ideal_active(vin, cell: CellSpec):
 
 
 @dataclass(frozen=True)
-class PwlFunction:
-    """Continuous piecewise-linear function on the voltage axis.
-
-    Defined by strictly increasing breakpoints, one slope per segment
-    (including the two unbounded end segments) and a single anchor
-    value; continuity then fixes the whole curve.
-    """
-
-    breakpoints: np.ndarray
-    slopes: np.ndarray
-    anchor_v: float
-    anchor_f: float
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        if b.ndim != 1 or s.ndim != 1 or s.size != b.size + 1:
-            raise ValueError("need len(slopes) == len(breakpoints) + 1")
-        if b.size and np.any(np.diff(b) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "slopes", s)
-        b.setflags(write=False)
-        s.setflags(write=False)
-
-    def _knot_values(self) -> np.ndarray:
-        b, s = self.breakpoints, self.slopes
-        if b.size == 0:
-            return np.empty(0)
-        vals = np.empty(b.size)
-        seg0 = int(np.searchsorted(b, self.anchor_v, side="right"))
-        # walk from the anchor to the nearest knot, then chain along knots
-        if seg0 == 0:
-            vals[0] = self.anchor_f + s[0] * (b[0] - self.anchor_v)
-        else:
-            vals[seg0 - 1] = self.anchor_f + s[seg0] * (b[seg0 - 1] - self.anchor_v)
-        for j in range(seg0 - 2, -1, -1):
-            vals[j] = vals[j + 1] - s[j + 1] * (b[j + 1] - b[j])
-        for j in range(max(seg0, 1), b.size):
-            vals[j] = vals[j - 1] + s[j] * (b[j] - b[j - 1])
-        return vals
-
-    def __call__(self, v):
-        v_arr = np.asarray(v, dtype=float)
-        scalar = v_arr.ndim == 0
-        v_arr = np.atleast_1d(v_arr)
-        b, s = self.breakpoints, self.slopes
-        if b.size == 0:
-            out = self.anchor_f + s[0] * (v_arr - self.anchor_v)
-        else:
-            vals = self._knot_values()
-            seg = np.searchsorted(b, v_arr, side="right")
-            ref_idx = np.clip(seg - 1, 0, b.size - 1)
-            out = vals[ref_idx] + s[seg] * (v_arr - b[ref_idx])
-        return float(out[0]) if scalar else out
-
-
-def maxlog_pwl_voltage(k: int, c: Constellation, p, input_map: AffineMap) -> PwlFunction:
-    """Max-log LLR of bit k as an exact PWL over the input voltage."""
-    if input_map.scale <= 0.0:
-        raise ValueError("input map must have positive scale")
-    bks_r = maxlog_breakpoints(k, c)
-    slopes_r = maxlog_segment_slopes(k, c, p)
-    return PwlFunction(
-        breakpoints=input_map(bks_r),
-        slopes=slopes_r / input_map.scale,
-        anchor_v=float(input_map.offset),
-        anchor_f=float(maxlog_llr(0.0, k, c, p)),
-    )
-
-
-@dataclass(frozen=True)
 class CellSynthesis:
     cells: tuple[CellSpec, ...]
     output_scale: float  # output volts per unit of target value
 
 
 def synthesize_cells(
-    target: PwlFunction,
+    breakpoints,
+    slopes,
     vdd: float,
     knee_eps: float,
     *,
@@ -219,17 +149,24 @@ def synthesize_cells(
     vin_max: float,
     isat_v: float = BJT_ISAT_V,
 ) -> CellSynthesis:
-    """Decompose a PWL target into saturating-ramp cells.
+    """Decompose a continuous PWL target into saturating-ramp cells.
 
-    Each interior slope change becomes one cell at that breakpoint; the
+    The target is given by strictly increasing ``breakpoints`` and one
+    slope per segment, the two unbounded end segments included.  Each
+    interior slope change becomes one cell at that breakpoint; the
     final segment is covered by an upward ramp at the last breakpoint.
     Ramps toward the lower edge saturate exactly at ``vin_min`` and the
     upward ramp at ``vin_max``.  Gains are scaled uniformly so the
     largest cell uses exactly its ``isat_v`` budget; the scale is
-    reported and absorbed by the downstream affine output fit.
+    reported and, like the target's level, absorbed by the downstream
+    affine output fit.
     """
-    b = target.breakpoints
-    s = target.slopes
+    b = np.asarray(breakpoints, dtype=float)
+    s = np.asarray(slopes, dtype=float)
+    if b.ndim != 1 or s.ndim != 1 or s.size != b.size + 1:
+        raise ValueError("need len(slopes) == len(breakpoints) + 1")
+    if np.any(np.diff(b) <= 0):
+        raise ValueError("breakpoints must be strictly increasing")
     if not np.all(np.isfinite(s)):
         raise ValueError("target slopes must be finite")
     if b.size and not (vin_min < b[0] and b[-1] < vin_max):
@@ -274,8 +211,9 @@ def synthesize_cells(
             )
         )
 
+    # target values at the range edges and breakpoints, relative to vin_min
     knots = np.concatenate([[vin_min], b, [vin_max]])
-    values = target(knots) * scale
+    values = np.concatenate([[0.0], np.cumsum(s * np.diff(knots))]) * scale
     swing = float(values.max() - values.min())
     if swing > vdd * (1.0 + 1e-12):
         raise ValueError(
@@ -354,6 +292,8 @@ def build_demapper(
     knee = preset_knee if knee_eps is None else float(knee_eps)
     isat = preset_isat if isat_v is None else float(isat_v)
 
+    if input_map.scale <= 0.0:
+        raise ValueError("input map must have positive scale")
     window_max = input_map(float(c.points[-1]))
     if window_max > VIN_HARD_MAX + 1e-12:
         raise ValueError(f"constellation maps to {window_max:.3f} V, above the {VIN_HARD_MAX} V input cap")
@@ -364,8 +304,10 @@ def build_demapper(
     all_cells = []
     scales = []
     for k in (1, 2, 3):
-        target = maxlog_pwl_voltage(k, c, p_ref, input_map)
-        syn = synthesize_cells(target, vdd, knee, vin_min=vin_min, vin_max=vin_max, isat_v=isat)
+        # the max-log LLR of bit k over the input voltage
+        breakpoints = input_map(c.maxlog_segments[k - 1][0])
+        slopes = maxlog_segment_slopes(k, c, p_ref) / input_map.scale
+        syn = synthesize_cells(breakpoints, slopes, vdd, knee, vin_min=vin_min, vin_max=vin_max, isat_v=isat)
         all_cells.append(syn.cells)
         scales.append(syn.output_scale)
     return AnalogDemapper(

@@ -9,9 +9,12 @@ threads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .constellation import Constellation
 
 # Fixed work-unit size for chunked Monte Carlo; results are invariant to
 # the number of threads because streams attach to chunk indices.
@@ -26,10 +29,6 @@ class ChannelParams:
     @property
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-    @property
-    def noise_var(self) -> float:
-        return self.sigma * self.sigma
 
 
 def from_snr_db(snr_db: float) -> ChannelParams:
@@ -66,3 +65,28 @@ def chunk_sizes(n_total: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]
         raise ValueError(f"n_total must be positive, got {n_total}")
     full, rem = divmod(n_total, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
+
+
+def draw(c: Constellation, p: ChannelParams, seed: int, stream: int, chunk_index: int, n: int):
+    """Uniform symbols of one chunk and their noisy observations.
+
+    Returns the label bits of the drawn points as uint8, shape (n, 3),
+    and the observations.  Both come from the chunk's private stream.
+    """
+    rng = worker_rng(seed, chunk_index, stream=stream)
+    idx = rng.integers(0, c.points.size, n)
+    bits = c.labels.astype(np.uint8)[idx]  # an eighth of the memory of int labels
+    return bits, transmit(c.points[idx], p, rng)
+
+
+def map_chunks(fn, n_total: int, chunk_size: int, n_workers: int) -> list:
+    """``fn(i, n)`` for every chunk i of n samples, in chunk order.
+
+    With more than one worker the chunks run on a thread pool; the
+    results still come back in chunk order, not completion order.
+    """
+    sizes = chunk_sizes(n_total, chunk_size)
+    if n_workers <= 1:
+        return [fn(i, n) for i, n in enumerate(sizes)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, range(len(sizes)), sizes))

@@ -34,7 +34,6 @@ class Constellation:
     points: np.ndarray
     d: float
     labels: np.ndarray
-    _label_to_index: dict = field(repr=False, default_factory=dict)
     class_points: tuple = field(init=False, repr=False, compare=False)
     maxlog_segments: tuple = field(init=False, repr=False, compare=False)
 
@@ -43,20 +42,11 @@ class Constellation:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
         self.points.setflags(write=False)
         self.labels.setflags(write=False)
-        lut = {tuple(lab): i for i, lab in enumerate(self.labels)}
-        object.__setattr__(self, "_label_to_index", lut)
         classes = tuple(
             _read_only(*(self.points[self.labels[:, k] == b] for b in (0, 1))) for k in range(BITS_PER_SYMBOL)
         )
         object.__setattr__(self, "class_points", classes)
         object.__setattr__(self, "maxlog_segments", tuple(_class_segments(p0, p1) for p0, p1 in classes))
-
-    def label_of(self, index: int) -> tuple[int, int, int]:
-        b1, b2, b3 = self.labels[index]
-        return (int(b1), int(b2), int(b3))
-
-    def index_of_label(self, b1: int, b2: int, b3: int) -> int:
-        return self._label_to_index[(b1, b2, b3)]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -82,15 +72,6 @@ def _class_segments(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, ...]:
     return _read_only(kinks, a, b)
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Indices of constellation points whose label has bit k equal to b."""
-
-    k: int
-    b: int
-    indices: tuple[int, ...]
-
-
 def build_pam8() -> Constellation:
     """Construct the 8-PAM constellation.
 
@@ -106,31 +87,3 @@ def build_pam8() -> Constellation:
         for g in gray
     ]
     return Constellation(points=levels * d, d=d, labels=np.array(labels))
-
-
-def map_bits(b1: int, b2: int, b3: int, c: Constellation) -> float:
-    """Return the amplitude whose label equals (b1, b2, b3)."""
-    for b in (b1, b2, b3):
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got ({b1}, {b2}, {b3})")
-    return float(c.points[c.index_of_label(b1, b2, b3)])
-
-
-def index_set(k: int, b: int, c: Constellation) -> IndexSet:
-    """Indices of points whose bit k (1-indexed, MSB first) equals b."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"bit position must be 1, 2 or 3, got {k}")
-    if b not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {b}")
-    idx = np.flatnonzero(c.labels[:, k - 1] == b)
-    return IndexSet(k=k, b=b, indices=tuple(int(i) for i in idx))
-
-
-def symbols_from_indices(indices: np.ndarray, c: Constellation) -> np.ndarray:
-    """Amplitudes for an array of point indices."""
-    return c.points[np.asarray(indices, dtype=int)]
-
-
-def bits_from_indices(indices: np.ndarray, c: Constellation) -> np.ndarray:
-    """Label bits, shape (..., 3), for an array of point indices."""
-    return c.labels[np.asarray(indices, dtype=int)]

@@ -11,7 +11,6 @@ zero in MOSFET mode).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,9 @@ from .constellation import Constellation
 TAU_DEFAULT = 0.4e-9        # settling time constant: 5 tau = 2 ns
 T_PLATEAU_BJT = 2.0e-9      # base-discharge hold after a saturation exit
 SAMPLE_FRACTION_DEFAULT = 0.95  # sample near the end of the symbol
+# Symbols per BER-vs-rate chunk.  Each chunk starts settled, so this
+# length is part of the settling model, not a scheduling choice.
+SETTLED_CHUNK_SYMBOLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,6 @@ class TransientTrace:
             raise ValueError("time and vout must have equal length")
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "vout", v)
-
-
-def detect_saturation_exit(prev_vin: float, next_vin: float, cells) -> bool:
-    """True iff some cell is at zero ideal output before the step and
-    strictly active after it."""
-    return bool(_exit_flags(np.array([prev_vin, next_vin], dtype=float), cells)[1])
 
 
 def _exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
@@ -209,33 +205,27 @@ def ber_vs_rate(
     *,
     stream: int = 0,
     n_workers: int = 1,
-    chunk_size: int = 1 << 14,
 ) -> list[dict]:
     """Hard-decision BER of the settling demapper at each symbol rate.
 
     Symbols are drawn uniformly, one noise value per symbol (held over
     the symbol period), pushed through the transient model, sampled at
     ``sample_fraction`` of the period, mapped to LLRs with the per-SNR
-    output maps, and sliced by sign.  Each chunk is an independent
-    settled sequence with its own stream, so results do not depend on
-    the worker count.
+    output maps, and sliced by sign.  Each chunk of
+    ``SETTLED_CHUNK_SYMBOLS`` symbols is an independent settled sequence
+    with its own stream, so results do not depend on the worker count.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
     params = channel.from_snr_db(snr_db)
-    sizes = channel.chunk_sizes(n_symbols, chunk_size)
 
     rows = []
     for rate_index, rate in enumerate(rates):
         if not rate > 0:
             raise ValueError(f"symbol rates must be positive, got {rate}")
 
-        def job(args, rate=rate):
-            chunk_index, n = args
-            rng = channel.worker_rng(seed, chunk_index, stream=stream + rate_index)
-            idx = rng.integers(0, c.points.size, n)
-            bits = c.labels[idx]
-            r = channel.transmit(c.points[idx], params, rng)
+        def job(chunk_index, n):
+            bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
             vin = np.asarray(d.input_map(r), dtype=float)
             errors = 0
             for k in (1, 2, 3):
@@ -248,13 +238,7 @@ def ber_vs_rate(
                 errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
             return errors
 
-        jobs = list(enumerate(sizes))
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                errs = list(pool.map(job, jobs))
-        else:
-            errs = [job(j) for j in jobs]
-        total_errors = int(sum(errs))
+        total_errors = int(sum(channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers)))
         rows.append(
             {
                 "rate_sps": float(rate),

@@ -151,19 +151,32 @@ def _require_mapping(value, field: str) -> dict:
     return value
 
 
+def _reject_unknown_keys(cfg: dict, known: dict, prefix: str = "") -> None:
+    """ConfigError naming the dotted path of the first key of ``cfg``
+    that ``known`` (the same tree of defaults) does not have."""
+    for key, value in cfg.items():
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
+
+
 def validate_config(cfg: dict, experiment: str) -> dict:
     """Check every field used by ``experiment``; raise ConfigError with
     the offending field name on the first problem."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
+    _reject_unknown_keys(cfg, DEFAULT_CONFIG)
     if not _is_int(cfg.get("seed")):
         raise ConfigError("seed: required integer (no silent nondeterminism)")
     modes = cfg.get("modes")
     if not isinstance(modes, (list, tuple)) or not modes:
         raise ConfigError("modes: must be a non-empty list")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise ConfigError(f"modes: unknown demapper id {mode!r}; expected subset of {MODES}")
+        if mode in modes[:i]:
+            raise ConfigError(f"modes: {mode!r} is listed more than once")
     for key in ("n_samples", "n_symbols"):
         n = cfg.get(key)
         if not _is_int(n) or n < 1000:
@@ -271,6 +284,13 @@ class Workbench:
 
                 fns[mode_id] = analog_fn
         return fns
+
+    def meta(self, maps_by_snr: dict | None = None) -> dict:
+        """Every synthesized demapper and, if given, the calibration constants per SNR."""
+        meta = {"demappers": {m: demapper_to_dict(d) for m, d in self.demappers.items()}}
+        if maps_by_snr is not None:
+            meta["calibration"] = _calibration_meta(maps_by_snr)
+        return meta
 
 
 def _fmt(value) -> str:
@@ -420,11 +440,7 @@ def run_llr_curves(cfg: dict) -> tuple[list[dict], dict]:
                             "seed": seed,
                         }
                     )
-    meta = {
-        "calibration": _calibration_meta(maps_by_snr),
-        "demappers": {m: demapper_to_dict(d) for m, d in bench.demappers.items()},
-    }
-    return rows, meta
+    return rows, bench.meta(maps_by_snr)
 
 
 def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
@@ -473,11 +489,7 @@ def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
                 row[f"gamma_{k}"] = maps[k].scale if maps else None
                 row[f"zeta_{k}"] = maps[k].offset if maps else None
             rows.append(row)
-    meta = {
-        "calibration": _calibration_meta(maps_by_snr),
-        "demappers": {m: demapper_to_dict(d) for m, d in bench.demappers.items()},
-    }
-    return rows, meta
+    return rows, bench.meta(maps_by_snr)
 
 
 def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
@@ -531,12 +543,7 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
         )
         for entry in sweep:
             rows.append({**entry, "demapper_id": mode_id, "seed": seed})
-    meta = {
-        "snr_db": snr_db,
-        "calibration": _calibration_meta({snr_db: output_maps}),
-        "demappers": {m: demapper_to_dict(d) for m, d in bench.demappers.items()},
-    }
-    return rows, meta
+    return rows, {"snr_db": snr_db, **bench.meta({snr_db: output_maps})}
 
 
 def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
@@ -575,8 +582,7 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
                         "seed": seed,
                     }
                 )
-    meta = {"demappers": {m: demapper_to_dict(d) for m, d in bench.demappers.items()}}
-    return rows, meta
+    return rows, bench.meta()
 
 
 _RUNNERS = {

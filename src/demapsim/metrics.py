@@ -11,7 +11,6 @@ results independent of the thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,36 +96,11 @@ def mi_summands(bits, llrs) -> np.ndarray:
     return s
 
 
-def mi_bitwise(bits, llrs) -> float:
-    """Bit-wise mutual information estimate 1 - E[log2(1 + e^{(-1)^b L})]."""
-    b = np.asarray(bits)
-    if b.size == 0:
-        raise ValueError("mi_bitwise needs at least one sample")
-    return 1.0 - float(np.mean(mi_summands(b, llrs)))
-
-
-def gmi(per_bit) -> float:
-    """Average of the three bit-wise MI values."""
-    vals = tuple(float(x) for x in per_bit)
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 per-bit values, got {len(vals)}")
-    return sum(vals) / 3.0
-
-
 def rate_penalty(gmi_approx: float, gmi_exact: float) -> float:
     """Relative GMI loss of an approximate demapper, in percent."""
     if not gmi_exact > 0:
         raise ValueError(f"reference GMI must be positive, got {gmi_exact}")
     return 100.0 * (gmi_exact - gmi_approx) / gmi_exact
-
-
-def hard_decide(llr) -> np.ndarray | int:
-    """Hard bit decision: 1 iff the LLR is non-negative."""
-    llr_arr = np.asarray(llr, dtype=float)
-    if not np.all(np.isfinite(llr_arr)):
-        raise ValueError("LLR must be finite for a hard decision")
-    out = (llr_arr >= 0.0).astype(int)
-    return int(out) if out.ndim == 0 else out
 
 
 def energy_per_bit(power_w: float, symbol_rate: float, bits_per_symbol: int) -> float:
@@ -138,7 +112,6 @@ def energy_per_bit(power_w: float, symbol_rate: float, bits_per_symbol: int) -> 
 
 @dataclass(frozen=True)
 class DemapperEvaluation:
-    demapper_id: str
     gmi_est: GmiEstimate
     ber_est: BerEstimate
     # paired per-symbol statistics of (this gmi summand - reference gmi
@@ -149,7 +122,6 @@ class DemapperEvaluation:
 
 @dataclass
 class _Tally:
-    n: int = 0
     sum_bit: np.ndarray = None
     sumsq_bit: np.ndarray = None
     sum_sym: float = 0.0
@@ -163,7 +135,6 @@ class _Tally:
         self.sumsq_bit = np.zeros(3)
 
     def add(self, other: "_Tally") -> None:
-        self.n += other.n
         self.sum_bit += other.sum_bit
         self.sumsq_bit += other.sumsq_bit
         self.sum_sym += other.sum_sym
@@ -173,13 +144,7 @@ class _Tally:
         self.sumsq_diff += other.sumsq_diff
 
 
-def _eval_chunk(llr_fns, c, params, n, seed, chunk_index, stream, ref_id):
-    rng = channel.worker_rng(seed, chunk_index, stream=stream)
-    idx = rng.integers(0, c.points.size, n)
-    bits = c.labels.astype(np.uint8)[idx]  # an eighth of the memory of int labels
-    r = channel.transmit(c.points[idx], params, rng)
-    del idx  # free the draws before the LLR buffers are allocated
-
+def _eval_chunk(llr_fns, bits, r, ref_id):
     tallies = {}
     ref_sym = None
     order = list(llr_fns)
@@ -189,8 +154,7 @@ def _eval_chunk(llr_fns, c, params, n, seed, chunk_index, stream, ref_id):
     for name in order:
         fn = llr_fns[name]
         t = _Tally()
-        t.n = n
-        sym_sum = np.zeros(n)
+        sym_sum = np.zeros(r.size)
         for k in (1, 2, 3):
             llr = np.asarray(fn(r, k), dtype=float)
             s = mi_summands(bits[:, k - 1], llr)
@@ -231,21 +195,13 @@ def evaluate_demappers(
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
-    sizes = channel.chunk_sizes(n_symbols, chunk_size)
 
-    def job(args):
-        i, n = args
-        return _eval_chunk(llr_fns, c, params, n, seed, i, stream, ref_id)
-
-    jobs = list(enumerate(sizes))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chunk_results = list(pool.map(job, jobs))
-    else:
-        chunk_results = [job(j) for j in jobs]
+    def job(i, n):
+        bits, r = channel.draw(c, params, seed, stream, i, n)
+        return _eval_chunk(llr_fns, bits, r, ref_id)
 
     totals = {name: _Tally() for name in llr_fns}
-    for result in chunk_results:  # chunk order, not completion order
+    for result in channel.map_chunks(job, n_symbols, chunk_size, n_workers):
         for name, t in result.items():
             totals[name].add(t)
 
@@ -275,6 +231,6 @@ def evaluate_demappers(
             diff = mean_diff
             diff_se = math.sqrt(var_diff / n)
         out[name] = DemapperEvaluation(
-            demapper_id=name, gmi_est=est, ber_est=ber, gmi_minus_ref=diff, gmi_minus_ref_se=diff_se
+            gmi_est=est, ber_est=ber, gmi_minus_ref=diff, gmi_minus_ref_se=diff_se
         )
     return out

@@ -59,17 +59,6 @@ def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     return float(out) if r_arr.ndim == 0 else out
 
 
-def maxlog_breakpoints(k: int, c: Constellation) -> np.ndarray:
-    """Kink locations of the max-log LLR in the observation domain.
-
-    The squared-distance minimum over a class switches branches at the
-    midpoints of consecutive points of that class; the difference of
-    the two class minima is piecewise linear with kinks at exactly
-    those midpoints.
-    """
-    return c.maxlog_segments[k - 1][0]
-
-
 def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
     """Slope of the max-log LLR on each segment between its kinks.
 

@@ -20,24 +20,29 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from demapsim.analog import AnalogDemapper, CellSpec
-from demapsim.constellation import Constellation, index_set
+from demapsim.constellation import Constellation
+
+
+def class_indices(k: int, b: int, c: Constellation) -> np.ndarray:
+    """Indices of the points whose bit k (1-indexed, MSB first) is b."""
+    return np.flatnonzero(c.labels[:, k - 1] == b)
 
 
 def naive_exact_llr(r: float, k: int, c: Constellation, sigma: float) -> float:
     """Direct transcription of the exact LLR, no stabilization."""
     num = 0.0
     den = 0.0
-    for i in index_set(k, 1, c).indices:
+    for i in class_indices(k, 1, c):
         num += math.exp(-((r - c.points[i]) ** 2) / (2.0 * sigma * sigma))
-    for i in index_set(k, 0, c).indices:
+    for i in class_indices(k, 0, c):
         den += math.exp(-((r - c.points[i]) ** 2) / (2.0 * sigma * sigma))
     return math.log(num) - math.log(den)
 
 
 def brute_maxlog_llr(r: float, k: int, c: Constellation, snr_linear: float) -> float:
     """Max-log LLR by explicit minimum search over both index sets."""
-    best0 = min((r - c.points[i]) ** 2 for i in index_set(k, 0, c).indices)
-    best1 = min((r - c.points[i]) ** 2 for i in index_set(k, 1, c).indices)
+    best0 = min((r - c.points[i]) ** 2 for i in class_indices(k, 0, c))
+    best1 = min((r - c.points[i]) ** 2 for i in class_indices(k, 1, c))
     return snr_linear * (best0 - best1)
 
 
@@ -52,7 +57,7 @@ def quadrature_mi_exact(k: int, c: Constellation, sigma: float, n_nodes: int = 1
     nodes, weights = hermgauss(n_nodes)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     points = c.points
-    sets = {b: np.array(index_set(k, b, c).indices) for b in (0, 1)}
+    sets = {b: class_indices(k, b, c) for b in (0, 1)}
 
     def llr(r: np.ndarray) -> np.ndarray:
         e = -((r[:, None] - points[None, :]) ** 2) * inv2s2

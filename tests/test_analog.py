@@ -4,7 +4,6 @@ import pytest
 from demapsim.analog import (
     AnalogDemapper,
     CellSpec,
-    PwlFunction,
     build_demapper,
     cell_ideal_active,
     cell_output_v,
@@ -12,14 +11,13 @@ from demapsim.analog import (
     demapper_from_dict,
     demapper_to_dict,
     load_demapper,
-    maxlog_pwl_voltage,
     save_demapper,
     synthesize_cells,
 )
-from demapsim.calibration import calibration_grid, fit_output_map, input_map
+from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
 from demapsim.channel import from_snr_db
 from demapsim.constellation import build_pam8
-from demapsim.reference import maxlog_llr
+from demapsim.reference import maxlog_llr, maxlog_segment_slopes
 
 from oracles import brute_maxlog_llr, logaddexp_cell_output_v, logaddexp_demap_static
 
@@ -90,68 +88,90 @@ class TestCellOutput:
         assert not cell_ideal_active(0.4, cell)
 
 
-class TestPwlFunction:
-    def test_hand_evaluation(self):
-        # slopes 0 then 2 with a kink at 1, anchored left of the kink
-        f = PwlFunction(breakpoints=np.array([1.0]), slopes=np.array([0.0, 2.0]), anchor_v=0.0, anchor_f=3.0)
-        np.testing.assert_allclose(f(np.array([0.0, 1.0, 2.0])), [3.0, 3.0, 5.0])
+def maxlog_target(k, c, p, imap):
+    """(breakpoints, slopes) of the max-log LLR of bit k over the input voltage."""
+    return imap(c.maxlog_segments[k - 1][0]), maxlog_segment_slopes(k, c, p) / imap.scale
 
-    def test_anchor_inside_last_segment(self):
-        f = PwlFunction(breakpoints=np.array([0.0, 1.0]), slopes=np.array([1.0, 0.0, -1.0]), anchor_v=2.0, anchor_f=0.0)
-        np.testing.assert_allclose(f(np.array([-1.0, 0.5, 1.0, 3.0])), [0.0, 1.0, 1.0, -1.0])
+
+def ideal_total(v, syn):
+    return sum(cell_output_v(v, cell) for cell in syn.cells)
+
+
+class TestPwlFunction:
+    """The continuous PWL target ``synthesize_cells`` takes as
+    (breakpoints, slopes), evaluated through its ideal cells."""
+
+    def test_hand_evaluation(self):
+        # slopes 0 then 2 with a kink at 1: values 3, 3, 5 at 0, 1, 2
+        syn = synthesize_cells([1.0], [0.0, 2.0], 1.6, 0.0, vin_min=-1.0, vin_max=3.0, isat_v=0.3)
+        total = ideal_total(np.array([0.0, 1.0, 2.0]), syn)
+        np.testing.assert_allclose(total - total[0], syn.output_scale * np.array([0.0, 0.0, 2.0]), atol=1e-15)
+
+    def test_three_segments(self):
+        # slopes 1, 0, -1 with kinks at 0 and 1: values 0, 1, 1, -1 at -1, 0.5, 1, 3
+        syn = synthesize_cells([0.0, 1.0], [1.0, 0.0, -1.0], 1.6, 0.0, vin_min=-2.0, vin_max=4.0, isat_v=0.3)
+        total = ideal_total(np.array([-1.0, 0.5, 1.0, 3.0]), syn)
+        np.testing.assert_allclose(total - total[0], syn.output_scale * np.array([0.0, 1.0, 1.0, -1.0]), atol=1e-15)
 
     def test_unsorted_breakpoints_rejected(self):
-        with pytest.raises(ValueError):
-            PwlFunction(breakpoints=np.array([1.0, 0.5]), slopes=np.array([0.0, 1.0, 2.0]), anchor_v=0.0, anchor_f=0.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            synthesize_cells([1.0, 0.5], [0.0, 1.0, 2.0], 1.6, 0.0, vin_min=0.0, vin_max=2.0)
+        with pytest.raises(ValueError, match="len"):
+            synthesize_cells([0.5], [0.0, 1.0, 2.0], 1.6, 0.0, vin_min=0.0, vin_max=2.0)
 
 
 class TestMaxlogPwlVoltage:
+    """The max-log LLR over the input voltage, as ``build_demapper`` synthesizes it."""
+
     def test_matches_reference_through_inverse_map(self, c, imap):
+        # ideal cells built at the 10 dB reference SNR follow the max-log
+        # LLR of the inverse-mapped voltage, up to output scale and offset
+        d = build_demapper(c, imap, "bjt", knee_eps=0.0)
         p = from_snr_db(10.0)
         v = np.linspace(0.04, 0.60, 1000)
         r = np.asarray(imap.inverse(v))
         for k in (1, 2, 3):
-            target = maxlog_pwl_voltage(k, c, p, imap)
-            np.testing.assert_allclose(target(v), maxlog_llr(r, k, c, p), atol=1e-10)
+            out = demap_static(v, d, k)
+            llr = maxlog_llr(r, k, c, p)
+            np.testing.assert_allclose((out[0] - out) / d.output_scales[k - 1], llr - llr[0], atol=1e-10)
 
     def test_msb_odd_about_center(self, c, imap):
         p = from_snr_db(10.0)
-        target = maxlog_pwl_voltage(1, c, p, imap)
         x = np.linspace(0.0, 0.28, 57)
-        np.testing.assert_allclose(target(0.32 + x), -target(0.32 - x), atol=1e-10)
+        llr_hi = maxlog_llr(np.asarray(imap.inverse(0.32 + x)), 1, c, p)
+        llr_lo = maxlog_llr(np.asarray(imap.inverse(0.32 - x)), 1, c, p)
+        np.testing.assert_allclose(llr_hi, -llr_lo, atol=1e-10)
+        d = build_demapper(c, imap, "bjt", knee_eps=0.0)
+        mid = demap_static(0.32, d, 1)
+        np.testing.assert_allclose(demap_static(0.32 + x, d, 1) - mid, mid - demap_static(0.32 - x, d, 1), atol=1e-12)
 
     def test_center_value_bit2(self, c, imap):
         # brute-force minimum over both index sets at r = 0
         p = from_snr_db(10.0)
-        target = maxlog_pwl_voltage(2, c, p, imap)
-        assert target(0.32) == pytest.approx(brute_maxlog_llr(0.0, 2, c, p.snr_linear), abs=1e-12)
+        llr = maxlog_llr(float(imap.inverse(0.32)), 2, c, p)
+        assert llr == pytest.approx(brute_maxlog_llr(0.0, 2, c, p.snr_linear), abs=1e-12)
 
     def test_degenerate_map_rejected(self, c):
-        p = from_snr_db(10.0)
-        from demapsim.calibration import AffineMap
-
-        with pytest.raises(ValueError):
-            maxlog_pwl_voltage(1, c, p, AffineMap(scale=0.0, offset=0.3))
+        for scale in (0.0, -0.04):
+            with pytest.raises(ValueError, match="positive scale"):
+                build_demapper(c, AffineMap(scale=scale, offset=0.3))
 
 
 class TestSynthesis:
     def test_single_hinge_gives_one_cell(self):
-        target = PwlFunction(np.array([0.3]), np.array([0.0, 5.0]), 0.0, 0.0)
-        syn = synthesize_cells(target, 1.6, 0.0, vin_min=-0.5, vin_max=1.0, isat_v=0.3)
+        syn = synthesize_cells([0.3], [0.0, 5.0], 1.6, 0.0, vin_min=-0.5, vin_max=1.0, isat_v=0.3)
         assert len(syn.cells) == 1
         cell = syn.cells[0]
         assert cell.orientation == "ramp_above"
         assert cell.vref == pytest.approx(0.3)
 
     def test_falling_hinge_gives_one_cell(self):
-        target = PwlFunction(np.array([0.3]), np.array([-5.0, 0.0]), 0.0, 0.0)
-        syn = synthesize_cells(target, 1.6, 0.0, vin_min=-0.5, vin_max=1.0, isat_v=0.3)
+        syn = synthesize_cells([0.3], [-5.0, 0.0], 1.6, 0.0, vin_min=-0.5, vin_max=1.0, isat_v=0.3)
         assert len(syn.cells) == 1
         assert syn.cells[0].orientation == "ramp_below"
 
     def test_triangle_gives_two_mirrored_cells(self):
-        target = PwlFunction(np.array([0.3]), np.array([4.0, -4.0]), 0.0, 0.0)
-        syn = synthesize_cells(target, 1.6, 0.0, vin_min=-0.1, vin_max=0.7, isat_v=0.3)
+        syn = synthesize_cells([0.3], [4.0, -4.0], 1.6, 0.0, vin_min=-0.1, vin_max=0.7, isat_v=0.3)
         assert len(syn.cells) == 2
         orientations = sorted(cell.orientation for cell in syn.cells)
         assert orientations == ["ramp_above", "ramp_below"]
@@ -159,32 +179,31 @@ class TestSynthesis:
         assert gains[0] == pytest.approx(gains[1], rel=1e-12)
 
     def test_reproduces_target_up_to_affine(self, c, imap):
-        # ideal cells against the voltage-domain max-log target
+        # ideal cells against the max-log LLR of the inverse-mapped voltage
         p = from_snr_db(10.0)
         vmin, vmax = float(imap(-5.0)), float(imap(5.0))
         v = np.linspace(vmin, vmax, 10001)
+        r = np.asarray(imap.inverse(v))
         for k in (1, 2, 3):
-            target = maxlog_pwl_voltage(k, c, p, imap)
-            syn = synthesize_cells(target, 1.6, 0.0, vin_min=vmin, vin_max=vmax, isat_v=0.3)
-            total = sum(cell_output_v(v, cell) for cell in syn.cells)
-            ref = syn.output_scale * (target(v) - target(v[0]))
-            np.testing.assert_allclose(total - total[0], ref, atol=1e-9)
+            syn = synthesize_cells(*maxlog_target(k, c, p, imap), 1.6, 0.0, vin_min=vmin, vin_max=vmax, isat_v=0.3)
+            total = ideal_total(v, syn)
+            llr = maxlog_llr(r, k, c, p)
+            np.testing.assert_allclose(total - total[0], syn.output_scale * (llr - llr[0]), atol=1e-9)
 
     def test_largest_cell_uses_exactly_the_bias_budget(self, c, imap):
         p = from_snr_db(10.0)
-        target = maxlog_pwl_voltage(1, c, p, imap)
-        syn = synthesize_cells(target, 1.6, 0.0, vin_min=float(imap(-5.0)), vin_max=float(imap(5.0)), isat_v=0.3)
+        syn = synthesize_cells(
+            *maxlog_target(1, c, p, imap), 1.6, 0.0, vin_min=float(imap(-5.0)), vin_max=float(imap(5.0)), isat_v=0.3
+        )
         assert max(cell.isat_v for cell in syn.cells) == pytest.approx(0.3, rel=1e-12)
 
     def test_breakpoint_outside_range_rejected(self):
-        target = PwlFunction(np.array([1.5]), np.array([0.0, 1.0]), 0.0, 0.0)
         with pytest.raises(ValueError, match="inside the input range"):
-            synthesize_cells(target, 1.6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
+            synthesize_cells([1.5], [0.0, 1.0], 1.6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
 
     def test_excessive_swing_rejected(self):
-        target = PwlFunction(np.array([0.5]), np.array([1.0, -1.0]), 0.0, 0.0)
         with pytest.raises(ValueError, match="output swing"):
-            synthesize_cells(target, 1e-6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
+            synthesize_cells([0.5], [1.0, -1.0], 1e-6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
 
 
 class TestDemapStatic:

@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from demapsim.channel import chunk_sizes, from_snr_db, transmit, worker_rng
+from demapsim import channel
+from demapsim.channel import chunk_sizes, draw, from_snr_db, map_chunks, transmit, worker_rng
+from demapsim.constellation import build_pam8
 
 
 class TestSnrConversion:
@@ -80,3 +83,34 @@ class TestChunking:
     def test_invalid_total(self):
         with pytest.raises(ValueError):
             chunk_sizes(0)
+
+
+class TestDraw:
+    def test_follows_the_chunk_stream(self):
+        # symbol indices first, then the noise, from the stream of (seed, stream, chunk)
+        c = build_pam8()
+        p = from_snr_db(4.0)
+        bits, r = draw(c, p, 21, 3, 5, 1000)
+        rng = worker_rng(21, 5, stream=3)
+        idx = rng.integers(0, 8, 1000)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, c.labels[idx])
+        np.testing.assert_array_equal(r, c.points[idx] + rng.normal(0.0, p.sigma, 1000))
+
+
+class TestMapChunks:
+    def test_results_in_chunk_order(self):
+        def fn(i, n):
+            time.sleep(0.002 * (7 - i))  # early chunks finish last
+            return i, n
+
+        expected = list(enumerate(chunk_sizes(100_001, 2**14)))
+        assert map_chunks(fn, 100_001, 2**14, 1) == expected
+        assert map_chunks(fn, 100_001, 2**14, 3) == expected
+
+    def test_one_worker_opens_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool opened")
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", no_pool)
+        assert map_chunks(lambda i, n: n, 10, 4, 1) == [4, 4, 2]

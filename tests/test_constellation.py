@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from demapsim.constellation import (
-    build_pam8,
-    bits_from_indices,
-    gray_code,
-    index_set,
-    map_bits,
-    symbols_from_indices,
-)
+from demapsim.constellation import build_pam8, gray_code
+
+from oracles import class_indices
 
 # Binary-reflected Gray sequence for 3 bits, regression oracle for the
 # algorithmic generation (i XOR i>>1).
@@ -65,53 +60,36 @@ class TestLabels:
 
 class TestMapping:
     def test_all_zero_word_is_lowest_point(self, c):
-        assert map_bits(0, 0, 0, c) == pytest.approx(-7 * c.d, abs=1e-15)
+        word = (c.labels == (0, 0, 0)).all(axis=1)
+        np.testing.assert_allclose(c.points[word], [-7 * c.d], rtol=0, atol=1e-15)
 
     def test_msb_only_word_is_highest_point(self, c):
-        assert map_bits(1, 0, 0, c) == pytest.approx(7 * c.d, abs=1e-15)
+        word = (c.labels == (1, 0, 0)).all(axis=1)
+        np.testing.assert_allclose(c.points[word], [7 * c.d], rtol=0, atol=1e-15)
 
     def test_round_trip_all_words(self, c):
         for i in range(8):
-            b1, b2, b3 = c.label_of(i)
-            x = map_bits(b1, b2, b3, c)
-            assert x == pytest.approx(c.points[i], abs=0)
-
-    def test_invalid_bits_rejected(self, c):
-        with pytest.raises(ValueError):
-            map_bits(0, 2, 0, c)
+            assert np.flatnonzero((c.labels == c.labels[i]).all(axis=1)).tolist() == [i]
 
 
 class TestIndexSets:
+    """The per-bit class points that the reference demappers read."""
+
     def test_msb_zero_is_negative_half(self, c):
-        assert index_set(1, 0, c).indices == (0, 1, 2, 3)
+        np.testing.assert_array_equal(c.class_points[0][0], c.points[:4])
 
     def test_bit2_one_is_middle(self, c):
-        assert index_set(2, 1, c).indices == (2, 3, 4, 5)
+        np.testing.assert_array_equal(c.class_points[1][1], c.points[2:6])
 
     def test_partition_for_every_bit(self, c):
         for k in (1, 2, 3):
-            s0 = set(index_set(k, 0, c).indices)
-            s1 = set(index_set(k, 1, c).indices)
-            assert len(s0) == len(s1) == 4
-            assert s0 | s1 == set(range(8))
-            assert s0 & s1 == set()
+            p0, p1 = c.class_points[k - 1]
+            assert p0.size == p1.size == 4
+            np.testing.assert_array_equal(np.sort(np.concatenate([p0, p1])), c.points)
 
     def test_cached_class_points_match_index_sets(self, c):
         for k in (1, 2, 3):
             for b in (0, 1):
                 cached = c.class_points[k - 1][b]
-                np.testing.assert_array_equal(cached, c.points[list(index_set(k, b, c).indices)])
+                np.testing.assert_array_equal(cached, c.points[class_indices(k, b, c)])
                 assert not cached.flags.writeable
-
-    def test_invalid_arguments_rejected(self, c):
-        with pytest.raises(ValueError):
-            index_set(0, 0, c)
-        with pytest.raises(ValueError):
-            index_set(1, 2, c)
-
-
-class TestArrayHelpers:
-    def test_symbols_and_bits_from_indices(self, c):
-        idx = np.array([0, 7, 3])
-        np.testing.assert_allclose(symbols_from_indices(idx, c), c.points[idx])
-        np.testing.assert_array_equal(bits_from_indices(idx, c), c.labels[idx])

@@ -3,14 +3,13 @@ import pytest
 
 from demapsim import dynamics
 from demapsim.analog import build_demapper, demap_static
-from demapsim.calibration import calibration_grid, fit_output_map, input_map
-from demapsim.channel import from_snr_db, transmit
+from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
+from demapsim.channel import draw, from_snr_db, transmit
 from demapsim.constellation import build_pam8
 from demapsim.dynamics import (
     DynamicsParams,
     _exit_flags,
     ber_vs_rate,
-    detect_saturation_exit,
     sampled_outputs,
     simulate_transient,
 )
@@ -77,23 +76,25 @@ class TestParams:
 
 
 class TestSaturationExit:
+    """flags[1] of a two-symbol sequence: the step exits saturation."""
+
     def test_no_move_no_exit(self, bjt):
-        assert not detect_saturation_exit(0.3, 0.3, bjt.cells_for_bit(1))
+        assert not _exit_flags(np.array([0.3, 0.3]), bjt.cells_for_bit(1))[1]
 
     def test_single_cell_crossing(self):
         cell = CellSpec(vref=0.3, gain=1.0, isat_v=1.0, knee_eps=0.0, polarity="pos", orientation="ramp_below")
-        assert detect_saturation_exit(0.4, 0.2, [cell])
-        assert not detect_saturation_exit(0.2, 0.4, [cell])
+        assert _exit_flags(np.array([0.4, 0.2]), [cell])[1]
+        assert not _exit_flags(np.array([0.2, 0.4]), [cell])[1]
 
     def test_canonical_up_transition_exits(self, c, imap, bjt):
         prev = float(imap(3 * c.d))
         nxt = float(imap(7 * c.d))
-        assert detect_saturation_exit(prev, nxt, bjt.cells_for_bit(1))
+        assert _exit_flags(np.array([prev, nxt]), bjt.cells_for_bit(1))[1]
 
     def test_canonical_low_transition_does_not_exit(self, c, imap, bjt):
         prev = float(imap(-7 * c.d))
         nxt = float(imap(-5 * c.d))
-        assert not detect_saturation_exit(prev, nxt, bjt.cells_for_bit(1))
+        assert not _exit_flags(np.array([prev, nxt]), bjt.cells_for_bit(1))[1]
 
 
 class TestTransient:
@@ -198,6 +199,15 @@ class TestBerVsRate:
         a = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=1)
         b = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=3)
         assert a == b
+
+    def test_zero_llr_decides_one(self, c, bjt):
+        # zero-scale output maps give every sample the LLR of their offset
+        bits, _ = draw(c, from_snr_db(self.SNR), 5, 0, 0, 2000)
+        ones = int(bits.sum())
+        for offset, errors in ((0.0, bits.size - ones), (-1e-12, ones)):
+            maps = {k: AffineMap(scale=0.0, offset=offset) for k in (1, 2, 3)}
+            (row,) = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 2000, 5, c)
+            assert row["errors"] == errors
 
     def test_invalid_inputs(self, c, imap, bjt):
         maps = output_maps_for(bjt, c, imap, self.SNR)

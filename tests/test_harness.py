@@ -55,6 +55,8 @@ class TestConfigValidation:
             ("input_window_v", [0.6, 0.1], "input_window_v"),
             ("seed", True, "seed"),
             ("input_window_v", ["a", 0.6], "input_window_v"),
+            ("n_sampels", 5000, "n_sampels: unknown key"),
+            ("modes", ["exact", "maxlog", "maxlog"], "modes: 'maxlog' is listed more than once"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -72,6 +74,9 @@ class TestConfigValidation:
             ("demapper.mosfet.knee_eps_v", "a"),
             ("demapper.bjt.isat_v", -0.3),
             ("demapper.mosfet.isat_v", None),
+            ("dynamics.tau", 1e-9),
+            ("demapper.bjt.knee_v", 1e-3),
+            ("transitions.rate_sps", 1e8),
         ],
     )
     def test_nested_field_errors_name_the_dotted_path(self, path, value):

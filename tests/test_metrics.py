@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from demapsim.channel import from_snr_db
+from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.metrics import (
     BerEstimate,
     GmiEstimate,
     energy_per_bit,
     evaluate_demappers,
-    gmi,
     _softplus_,
-    hard_decide,
-    mi_bitwise,
     mi_summands,
     rate_penalty,
 )
@@ -26,25 +23,29 @@ def c():
 
 
 class TestMiBitwise:
+    """Bit-wise MI estimate 1 - E[log2(1 + e^{(-1)^b L})] from ``mi_summands``."""
+
     def test_uninformative_llrs(self):
         bits = np.array([0, 1, 0, 1])
-        assert mi_bitwise(bits, np.zeros(4)) == pytest.approx(0.0, abs=1e-15)
+        assert 1.0 - mi_summands(bits, np.zeros(4)).mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_perfect_llrs(self):
         bits = np.array([0, 1] * 10)
         llrs = np.where(bits == 1, 1000.0, -1000.0)
-        assert mi_bitwise(bits, llrs) == pytest.approx(1.0, abs=1e-9)
+        assert 1.0 - mi_summands(bits, llrs).mean() == pytest.approx(1.0, abs=1e-9)
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, c):
+        p = from_snr_db(10.0)
         with pytest.raises(ValueError):
-            mi_bitwise(np.array([]), np.array([]))
+            evaluate_demappers({"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, 0, 1)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 1000)
         llrs = rng.normal(0, 3, 1000)
         perm = rng.permutation(1000)
-        assert mi_bitwise(bits, llrs) == pytest.approx(mi_bitwise(bits[perm], llrs[perm]), abs=1e-14)
+        a = mi_summands(bits, llrs).mean()
+        assert a == pytest.approx(mi_summands(bits[perm], llrs[perm]).mean(), abs=1e-14)
 
     def test_matches_quadrature_oracle(self, c):
         p = from_snr_db(10.0)
@@ -79,16 +80,11 @@ class TestSoftplus:
 
 
 class TestScalarMetrics:
-    def test_gmi_is_plain_average(self):
-        assert gmi((1.0, 1.0, 1.0)) == 1.0
-        assert gmi((0.0, 0.0, 0.0)) == 0.0
-        rng = np.random.default_rng(1)
-        vals = rng.uniform(0, 1, 3)
-        assert gmi(vals) == pytest.approx(vals.sum() / 3.0, abs=1e-15)
-
-    def test_gmi_needs_three_values(self):
-        with pytest.raises(ValueError):
-            gmi((0.5, 0.5))
+    def test_gmi_is_plain_average(self, c):
+        p = from_snr_db(5.0)
+        fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)}
+        for ev in evaluate_demappers(fns, c, p, 20_000, 3).values():
+            assert ev.gmi_est.gmi == pytest.approx(sum(ev.gmi_est.per_bit_mi) / 3.0, abs=1e-15)
 
     def test_rate_penalty(self):
         assert rate_penalty(1.0, 1.0) == 0.0
@@ -96,13 +92,14 @@ class TestScalarMetrics:
         with pytest.raises(ValueError):
             rate_penalty(0.5, 0.0)
 
-    def test_hard_decide_boundary(self):
-        assert hard_decide(0.0) == 1  # boundary belongs to the 1 decision
-        assert hard_decide(-1e-12) == 0
-        assert hard_decide(3.7) == 1
-        np.testing.assert_array_equal(hard_decide(np.array([-1.0, 0.0, 2.0])), [0, 1, 1])
-        with pytest.raises(ValueError):
-            hard_decide(float("inf"))
+    def test_hard_decide_boundary(self, c):
+        # an LLR of exactly 0 counts as a 1 decision: every 0 bit is an error
+        p = from_snr_db(5.0)
+        bits, _ = draw(c, p, 9, 0, 0, 1000)
+        ones = int(bits.sum())
+        for llr, errors in ((0.0, bits.size - ones), (-1e-12, ones), (3.7, bits.size - ones)):
+            ev = evaluate_demappers({"const": lambda r, k, llr=llr: np.full(r.size, llr)}, c, p, 1000, 9)
+            assert ev["const"].ber_est.errors == errors
 
     def test_energy_per_bit(self):
         assert energy_per_bit(0.35e-3, 350e6, 3) == pytest.approx(0.3333e-12, abs=1e-15)

@@ -12,7 +12,6 @@ from demapsim.channel import from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import (
     exact_llr,
-    maxlog_breakpoints,
     maxlog_llr,
     maxlog_segment_slopes,
 )
@@ -103,7 +102,7 @@ class TestMaxlogLlr:
         for snr in (0.0, 16.0, 30.0):
             p = from_snr_db(snr)
             for k in (1, 2, 3):
-                r = np.concatenate([maxlog_breakpoints(k, c), c.points, rng.uniform(-3, 3, 200)])
+                r = np.concatenate([c.maxlog_segments[k - 1][0], c.points, rng.uniform(-3, 3, 200)])
                 got = maxlog_llr(r, k, c, p)
                 for rr, llr in zip(r, got):
                     expected = brute_maxlog_llr(float(rr), k, c, p.snr_linear)
@@ -116,7 +115,7 @@ class TestMaxlogLlr:
         h = r[1] - r[0]
         for k in (1, 2, 3):
             second = np.abs(np.diff(maxlog_llr(r, k, c, p10), n=2)) / h
-            kinks = maxlog_breakpoints(k, c)
+            kinks = c.maxlog_segments[k - 1][0]
             interior = np.array(
                 [np.all(np.abs(rr - kinks) > 2 * h) for rr in r[1:-1]]
             )
@@ -125,15 +124,15 @@ class TestMaxlogLlr:
 
     def test_breakpoints_are_class_midpoints(self, c):
         np.testing.assert_allclose(
-            maxlog_breakpoints(1, c), c.d * np.array([-6, -4, -2, 2, 4, 6]), atol=1e-14
+            c.maxlog_segments[0][0], c.d * np.array([-6, -4, -2, 2, 4, 6]), atol=1e-14
         )
         np.testing.assert_allclose(
-            maxlog_breakpoints(3, c), c.d * np.array([-4, 0, 4]), atol=1e-14
+            c.maxlog_segments[2][0], c.d * np.array([-4, 0, 4]), atol=1e-14
         )
 
     def test_segment_slopes_match_finite_differences(self, c, p10):
         for k in (1, 2, 3):
-            bks = maxlog_breakpoints(k, c)
+            bks = c.maxlog_segments[k - 1][0]
             slopes = maxlog_segment_slopes(k, c, p10)
             probes = np.concatenate([[bks[0] - 0.5], (bks[:-1] + bks[1:]) / 2, [bks[-1] + 0.5]])
             h = 1e-7
