@@ -26,7 +26,7 @@ import yaml
 
 from .calibration import AffineMap
 from .channel import from_snr_db
-from .constellation import Constellation
+from .constellation import Constellation, bit_row
 from .metrics import _softplus_
 from .reference import maxlog_segment_slopes
 
@@ -247,9 +247,7 @@ class AnalogDemapper:
                     raise ValueError(f"cell vref {cell.vref} outside input range")
 
     def cells_for_bit(self, k: int) -> tuple[CellSpec, ...]:
-        if k not in (1, 2, 3):
-            raise ValueError(f"bit position must be 1, 2 or 3, got {k}")
-        return self.cells[k - 1]
+        return self.cells[bit_row(k)]
 
 
 def demap_static(vin, d: AnalogDemapper, k: int):

@@ -16,6 +16,13 @@ def gray_code(n_bits: int) -> np.ndarray:
     return i ^ (i >> 1)
 
 
+def bit_row(k: int) -> int:
+    """Row ``k - 1`` of the per-bit tables; ValueError unless k is 1, 2 or 3."""
+    if k not in (1, 2, 3):
+        raise ValueError(f"bit position k must be 1, 2 or 3, got {k!r}")
+    return k - 1
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Equally spaced 8-PAM amplitudes with their 3-bit Gray labels.

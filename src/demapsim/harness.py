@@ -4,7 +4,9 @@ Each experiment produces one CSV table and an adjacent ``.meta.json``
 file holding the full resolved configuration, the synthesized demapper
 descriptions and every calibration constant, so any row can be
 re-derived from the metadata alone.  Identical configuration and seed
-give byte-identical tables regardless of the worker count.
+give byte-identical tables regardless of the worker count.  Runners
+return the table as segments (see ``write_csv``): one row dict per row
+for the short tables, one segment of array columns per curve or trace.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import copy
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .analog import (
     MOSFET_KNEE_V,
     R_SPAN_DEFAULT,
     VDD_DEFAULT,
+    VIN_HARD_MAX,
     build_demapper,
     demap_static,
     demapper_to_dict,
@@ -117,14 +119,19 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (``True`` is an ``int`` in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _require_int(value, field: str, minimum: int) -> None:
+    """An integer of at least ``minimum`` that is not a bool (``True`` is
+    an ``int`` in Python); ConfigError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{field}: must be an integer of at least {minimum}")
 
 
-def _require_number(value, field: str, minimum: float | None = None, *, inclusive: bool = False) -> float:
+def _require_number(
+    value, field: str, minimum: float | None = None, *, inclusive: bool = False, maximum: float | None = None
+) -> float:
     """A finite number that is not a bool, above ``minimum`` (or at
-    least ``minimum`` if ``inclusive``); ConfigError naming ``field``."""
+    least ``minimum`` if ``inclusive``) and at most ``maximum``;
+    ConfigError naming ``field``."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -135,6 +142,8 @@ def _require_number(value, field: str, minimum: float | None = None, *, inclusiv
         raise ConfigError(f"{field}: {value!r} is not finite")
     if minimum is not None and (x < minimum if inclusive else x <= minimum):
         raise ConfigError(f"{field}: {value!r} must be {'at least' if inclusive else 'above'} {minimum}")
+    if maximum is not None and x > maximum:
+        raise ConfigError(f"{field}: {value!r} must be at most {maximum}")
     return x
 
 
@@ -162,13 +171,14 @@ def _reject_unknown_keys(cfg: dict, known: dict, prefix: str = "") -> None:
 
 
 def validate_config(cfg: dict, experiment: str) -> dict:
-    """Check every field used by ``experiment``; raise ConfigError with
-    the offending field name on the first problem."""
+    """Check every field, whichever of them ``experiment`` reads; raise
+    ConfigError with the offending field name on the first problem."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
     _reject_unknown_keys(cfg, DEFAULT_CONFIG)
-    if not _is_int(cfg.get("seed")):
-        raise ConfigError("seed: required integer (no silent nondeterminism)")
+    _require_int(cfg.get("seed"), "seed", 0)
+    if cfg.get("out") is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out: {cfg['out']!r} is neither null nor a path string")
     modes = cfg.get("modes")
     if not isinstance(modes, (list, tuple)) or not modes:
         raise ConfigError("modes: must be a non-empty list")
@@ -177,38 +187,29 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             raise ConfigError(f"modes: unknown demapper id {mode!r}; expected subset of {MODES}")
         if mode in modes[:i]:
             raise ConfigError(f"modes: {mode!r} is listed more than once")
-    for key in ("n_samples", "n_symbols"):
-        n = cfg.get(key)
-        if not _is_int(n) or n < 1000:
-            raise ConfigError(f"{key}: must be an integer of at least 1000")
-    if not _is_int(cfg.get("n_workers")) or cfg["n_workers"] < 1:
-        raise ConfigError("n_workers: must be a positive integer")
-    if not _is_int(cfg.get("chunk_size")) or cfg["chunk_size"] < 1:
-        raise ConfigError("chunk_size: must be a positive integer")
+    for key, minimum in (("n_samples", 1000), ("n_symbols", 1000), ("n_workers", 1), ("chunk_size", 1)):
+        _require_int(cfg.get(key), key, minimum)
     window = cfg.get("input_window_v")
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
     vmin, vmax = _require_number_list(cfg, "input_window_v")
     if not vmin < vmax:
         raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
+    _require_number(vmax, "input_window_v", maximum=VIN_HARD_MAX)  # the analog input cap
 
     _require_number_list(cfg, "snr_db")
-    if experiment == "llr-curves":
-        _require_number_list(cfg, "llr_snr_db")
-        if not _is_int(cfg.get("llr_grid_points")) or cfg["llr_grid_points"] < 2:
-            raise ConfigError("llr_grid_points: must be an integer of at least 2")
-    if experiment == "ber-vs-rate":
-        _require_number_list(cfg, "rates_sps", minimum=0.0)
-        _require_number(cfg.get("ber_snr_db"), "ber_snr_db")
+    _require_number_list(cfg, "llr_snr_db")
+    _require_int(cfg.get("llr_grid_points"), "llr_grid_points", 2)
+    _require_number_list(cfg, "rates_sps", minimum=0.0)
+    _require_number(cfg.get("ber_snr_db"), "ber_snr_db")
     dyn = _require_mapping(cfg.get("dynamics"), "dynamics")
-    for key in ("tau_s", "sample_fraction"):
-        _require_number(dyn.get(key), f"dynamics.{key}", 0.0)
+    _require_number(dyn.get("tau_s"), "dynamics.tau_s", 0.0)
+    _require_number(dyn.get("sample_fraction"), "dynamics.sample_fraction", 0.0, maximum=1.0)
     _require_number(dyn.get("t_plateau_bjt_s"), "dynamics.t_plateau_bjt_s", 0.0, inclusive=True)
     tr = _require_mapping(cfg.get("transitions"), "transitions")
     _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
     for block, field in ((dyn, "dynamics"), (tr, "transitions")):
-        if not _is_int(block.get("samples_per_symbol")) or block["samples_per_symbol"] < 2:
-            raise ConfigError(f"{field}.samples_per_symbol: must be an integer of at least 2")
+        _require_int(block.get("samples_per_symbol"), f"{field}.samples_per_symbol", 2)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
     _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
     _require_number(dem.get("snr_ref_db"), "demapper.snr_ref_db")
@@ -305,61 +306,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_CSV_BLOCK_ROWS = 512
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-_CSV_REPR = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
-
-
-def _csv_quoted(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it when it holds a special character."""
+def _csv_cell(value) -> str:
+    """``value`` formatted by ``_fmt`` and quoted as ``csv.writer`` quotes it."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    csv.writer(buf, lineterminator="\n").writerow([_fmt(value), ""])
     return buf.getvalue()[:-2]
 
 
-def _csv_column(values: list) -> list[str]:
-    """The cells of one column of a block, formatted by ``_fmt`` and
-    quoted as ``csv.writer`` quotes them."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _CSV_REPR:
-        first = values[0]
-        # equal non-zero numbers have one repr; 0.0 == -0.0 do not
-        if first != 0 and values.count(first) == len(values):
-            return [_CSV_REPR[kind](first)] * len(values)
-        return list(map(_CSV_REPR[kind], values))
-    if kind is type(None):
-        return [""] * len(values)
-    texts = values if kind is str else list(map(_fmt, values))
-    if _CSV_SPECIAL.search("".join(texts)):
-        texts = [_csv_quoted(t) if _CSV_SPECIAL.search(t) else t for t in texts]
-    return texts
-
-
-def _csv_lines(columns: list[list[str]], n_rows: int) -> str:
-    """The lines of a block of ``n_rows`` rows given its formatted columns."""
-    if not columns:
-        return "\n" * n_rows
-    lines = list(map(",".join, zip(*columns)))
-    if len(columns) == 1:  # csv.writer quotes a lone empty field
-        lines = ['""' if line == "" else line for line in lines]
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
     """Write the table as ``csv.writer`` does with ``_fmt`` cells.
 
-    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time, one column at a
-    time, and each block is written at once.
+    The table is a list of segments.  A segment is a dict in which each
+    field maps either to a 1-d float array, one cell per row, or to one
+    value shared by all of the segment's rows (a missing field is None).
+    Its arrays have one length, the segment's row count; a segment with
+    no array is one row, so a plain row dict is a one-row segment.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_lines([_csv_column([name]) for name in fieldnames], 1))
-        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-            columns = [_csv_column([row.get(name) for row in block]) for name in fieldnames]
-            fh.write(_csv_lines(columns, len(block)))
+        # the header is a one-row segment of the field names
+        for segment in (dict(zip(fieldnames, fieldnames)), *segments):
+            arrays = [v for v in segment.values() if isinstance(v, np.ndarray)]
+            n = arrays[0].size if arrays else 1
+            if any(a.shape != (n,) for a in arrays):
+                raise ValueError(f"segment arrays must be 1-d of one length, got shapes {[a.shape for a in arrays]}")
+            columns = [
+                map(float.__repr__, v.tolist()) if isinstance(v, np.ndarray) else repeat(_csv_cell(v), n)
+                for v in map(segment.get, fieldnames)
+            ]
+            lines = map(",".join, zip(*columns)) if columns else repeat("", n)
+            if len(fieldnames) == 1:  # csv.writer quotes a lone empty field
+                lines = ('""' if line == "" else line for line in lines)
+            fh.writelines(line + "\n" for line in lines)
 
 
 def write_metadata(csv_path, cfg: dict, extra: dict) -> Path:
@@ -406,41 +385,36 @@ def _dynamics_params(cfg: dict, demapper: AnalogDemapper, samples_per_symbol: in
 
 
 def run_llr_curves(cfg: dict) -> tuple[list[dict], dict]:
-    """Calibrated LLR curves over the input-voltage window per SNR."""
+    """Calibrated LLR curves over the input-voltage window: one segment
+    per SNR, mode and bit."""
     validate_config(cfg, "llr-curves")
     bench = Workbench.from_config(cfg)
     vmin, vmax = (float(v) for v in cfg["input_window_v"])
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
     r = np.asarray(bench.imap.inverse(vin))
     seed = cfg["seed"]
-    rows = []
+    segments = []
     maps_by_snr = {}
     for snr_db in (float(s) for s in cfg["llr_snr_db"]):
         output_maps = bench.calibrate(snr_db)
         maps_by_snr[snr_db] = output_maps
-        fns = bench.llr_fns(snr_db, output_maps)
-        for mode_id, fn in fns.items():
-            for k in (1, 2, 3):
-                llr = np.asarray(fn(r, k))
-                gamma = zeta = None
-                if mode_id in output_maps:
-                    gamma = output_maps[mode_id][k].scale
-                    zeta = output_maps[mode_id][k].offset
-                for j in range(vin.size):
-                    rows.append(
-                        {
-                            "snr_db": snr_db,
-                            "demapper_id": mode_id,
-                            "k": k,
-                            "vin_v": float(vin[j]),
-                            "r": float(r[j]),
-                            "llr": float(llr[j]),
-                            "gamma": gamma,
-                            "zeta": zeta,
-                            "seed": seed,
-                        }
-                    )
-    return rows, bench.meta(maps_by_snr)
+        for mode_id, fn in bench.llr_fns(snr_db, output_maps).items():
+            maps = output_maps.get(mode_id)
+            segments += [
+                {
+                    "snr_db": snr_db,
+                    "demapper_id": mode_id,
+                    "k": k,
+                    "vin_v": vin,
+                    "r": r,
+                    "llr": fn(r, k),
+                    "gamma": maps[k].scale if maps else None,
+                    "zeta": maps[k].offset if maps else None,
+                    "seed": seed,
+                }
+                for k in (1, 2, 3)
+            ]
+    return segments, bench.meta(maps_by_snr)
 
 
 def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
@@ -547,7 +521,8 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
 
 
 def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
-    """The two canonical settling traces for both analog modes."""
+    """The two canonical settling traces for both analog modes: one
+    segment per mode and transition."""
     validate_config(cfg, "transitions")
     bench = Workbench.from_config(cfg)
     seed = cfg["seed"]
@@ -559,30 +534,26 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
     tr_cfg = cfg["transitions"]
     rate = float(tr_cfg["symbol_rate_sps"])
     sps = int(tr_cfg["samples_per_symbol"])
-    rows = []
+    segments = []
     for mode_id in cfg["modes"]:
         if mode_id not in ANALOG_MODES:
             continue
         demapper = bench.demappers[mode_id]
         dp = _dynamics_params(cfg, demapper, sps)
         for name, (r_a, r_b) in transitions.items():
-            traces = {
-                k: simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)
-            }
-            time = traces[1].time
-            for j in range(time.size):
-                rows.append(
-                    {
-                        "demapper_id": mode_id,
-                        "transition": name,
-                        "time_s": float(time[j]),
-                        "vout_v_b1": float(traces[1].vout[j]),
-                        "vout_v_b2": float(traces[2].vout[j]),
-                        "vout_v_b3": float(traces[3].vout[j]),
-                        "seed": seed,
-                    }
-                )
-    return rows, bench.meta()
+            traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)]
+            segments.append(
+                {
+                    "demapper_id": mode_id,
+                    "transition": name,
+                    "time_s": traces[0].time,
+                    "vout_v_b1": traces[0].vout,
+                    "vout_v_b2": traces[1].vout,
+                    "vout_v_b3": traces[2].vout,
+                    "seed": seed,
+                }
+            )
+    return segments, bench.meta()
 
 
 _RUNNERS = {

@@ -162,6 +162,8 @@ def _eval_chunk(llr_fns, bits, r, ref_id):
             t.sumsq_bit[k - 1] = (s * s).sum()
             sym_sum += s
             t.errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
+        if not np.isfinite(t.sum_bit).all():
+            raise ValueError(f"demapper {name!r}: its LLRs give non-finite information (a NaN, or an inf of the wrong sign)")
         sym_mean = sym_sum / 3.0
         t.sum_sym = float(sym_mean.sum())
         t.sumsq_sym = float((sym_mean * sym_mean).sum())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, bit_row
 
 
 def _class_logsumexp(r: np.ndarray, pts: np.ndarray, inv: float) -> np.ndarray:
@@ -42,7 +42,7 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     log sum_{i in I_k^1} exp(-(r - x_i)^2 / 2 sigma^2)
       - log sum_{i in I_k^0} exp(-(r - x_i)^2 / 2 sigma^2)
     """
-    p0, p1 = c.class_points[k - 1]
+    p0, p1 = c.class_points[bit_row(k)]
     r_arr = np.asarray(r, dtype=float)
     inv = 1.0 / (2.0 * p.sigma * p.sigma)
     r1 = np.atleast_1d(r_arr)
@@ -52,7 +52,7 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
 
 def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     """Max-log LLR: SNR * (min_{I_k^0} (r - x)^2 - min_{I_k^1} (r - x)^2)."""
-    kinks, a, b = c.maxlog_segments[k - 1]
+    kinks, a, b = c.maxlog_segments[bit_row(k)]
     r_arr = np.asarray(r, dtype=float)
     seg = np.searchsorted(kinks, r_arr, side="right")
     out = maxlog_segment_slopes(k, c, p)[seg] * (r_arr - ((a + b) / 2.0)[seg])
@@ -66,5 +66,5 @@ def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
     class-1 point, the LLR is SNR * ((r-a)^2 - (r-b)^2), with slope
     2 * SNR * (b - a).
     """
-    _, a, b = c.maxlog_segments[k - 1]
+    _, a, b = c.maxlog_segments[bit_row(k)]
     return 2.0 * p.snr_linear * (b - a)

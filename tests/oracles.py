@@ -7,7 +7,7 @@ an explicit loop, the mutual-information oracle is Gauss-Hermite
 quadrature of the defining expectation, the analog cell oracle is
 the softplus hinge written with np.logaddexp, the settling oracle is the
 per-symbol loop, and the CSV oracle is ``csv.writer`` fed one formatted
-cell at a time.
+cell at a time, on row dicts that ``segment_rows`` expands from segments.
 """
 
 from __future__ import annotations
@@ -141,3 +141,14 @@ def csv_writer_write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt_cell(row.get(name)) for name in fieldnames])
+
+
+def segment_rows(segments: list[dict]) -> list[dict]:
+    """Row dicts of a table given as segments (see ``harness.write_csv``):
+    each array field gives one value per row, every other field repeats."""
+    rows = []
+    for segment in segments:
+        n = next((len(v) for v in segment.values() if isinstance(v, np.ndarray)), 1)
+        for j in range(n):
+            rows.append({name: float(v[j]) if isinstance(v, np.ndarray) else v for name, v in segment.items()})
+    return rows

@@ -17,7 +17,7 @@ from demapsim.harness import (
     validate_config,
     write_csv,
 )
-from oracles import csv_writer_write_csv
+from oracles import csv_writer_write_csv, segment_rows
 
 SMALL = {
     "seed": 11,
@@ -57,6 +57,11 @@ class TestConfigValidation:
             ("input_window_v", ["a", 0.6], "input_window_v"),
             ("n_sampels", 5000, "n_sampels: unknown key"),
             ("modes", ["exact", "maxlog", "maxlog"], "modes: 'maxlog' is listed more than once"),
+            ("rates_sps", [-1], "rates_sps"),
+            ("llr_grid_points", 1, "llr_grid_points"),
+            ("seed", -1, "seed: must be an integer of at least 0"),
+            ("out", 5, "out: 5"),
+            ("input_window_v", [0.04, 0.7], "input_window_v: 0.7 must be at most 0.64"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -77,6 +82,7 @@ class TestConfigValidation:
             ("dynamics.tau", 1e-9),
             ("demapper.bjt.knee_v", 1e-3),
             ("transitions.rate_sps", 1e8),
+            ("dynamics.sample_fraction", 1.5),
         ],
     )
     def test_nested_field_errors_name_the_dotted_path(self, path, value):
@@ -115,33 +121,33 @@ def result():
 
 class TestLlrCurves:
     def test_all_modes_near_zero_at_center_for_msb(self, result):
-        rows, _ = result
+        segments, _ = result
         for mode in ("exact", "maxlog", "analog-bjt", "analog-mosfet"):
             center = [
-                row for row in rows
-                if row["demapper_id"] == mode and row["k"] == 1 and abs(row["vin_v"] - 0.32) < 1e-12
+                seg["llr"][j] for seg in segments if seg["demapper_id"] == mode and seg["k"] == 1
+                for j in np.flatnonzero(np.abs(seg["vin_v"] - 0.32) < 1e-12)
             ]
             assert len(center) == 1
-            assert abs(center[0]["llr"]) < 1e-9
+            assert abs(center[0]) < 1e-9
 
     def test_grid_endpoints_map_to_outer_points(self, result):
-        rows, _ = result
-        rs = sorted(row["r"] for row in rows if row["demapper_id"] == "exact" and row["k"] == 1)
+        segments, _ = result
+        rs = sorted(x for seg in segments if seg["demapper_id"] == "exact" and seg["k"] == 1 for x in seg["r"])
         d = 0.1543033499620919
         assert rs[0] == pytest.approx(-7 * d, abs=1e-12)
         assert rs[-1] == pytest.approx(7 * d, abs=1e-12)
 
     def test_sharp_knee_tracks_exact_better_on_lsb(self, result):
-        rows, _ = result
+        segments, _ = result
         exact = {}
         curves = {"analog-bjt": {}, "analog-mosfet": {}}
-        for row in rows:
-            if row["k"] != 3:
+        for seg in segments:
+            if seg["k"] != 3:
                 continue
-            if row["demapper_id"] == "exact":
-                exact[row["vin_v"]] = row["llr"]
-            elif row["demapper_id"] in curves:
-                curves[row["demapper_id"]][row["vin_v"]] = row["llr"]
+            if seg["demapper_id"] == "exact":
+                exact.update(zip(seg["vin_v"].tolist(), seg["llr"].tolist()))
+            elif seg["demapper_id"] in curves:
+                curves[seg["demapper_id"]].update(zip(seg["vin_v"].tolist(), seg["llr"].tolist()))
         dev = {
             mode: max(abs(llr - exact[v]) for v, llr in points.items())
             for mode, points in curves.items()
@@ -287,7 +293,7 @@ class TestCli:
 
 
 class TestWriteCsv:
-    """The block-wise writer against ``csv.writer`` row by row, byte for byte."""
+    """The segment writer against ``csv.writer`` row by row, byte for byte."""
 
     FIELDS = ["x", "n", "name", "flag", "opt", "mixed"]
 
@@ -295,6 +301,12 @@ class TestWriteCsv:
     def assert_same_bytes(tmp_path, fieldnames, rows):
         write_csv(tmp_path / "new.csv", fieldnames, rows)
         csv_writer_write_csv(tmp_path / "old.csv", fieldnames, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def assert_same_segment_bytes(tmp_path, fieldnames, segments):
+        write_csv(tmp_path / "new.csv", fieldnames, segments)
+        csv_writer_write_csv(tmp_path / "old.csv", fieldnames, segment_rows(segments))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @staticmethod
@@ -360,5 +372,43 @@ class TestWriteCsv:
         self.assert_same_bytes(tmp_path, [], [{"a": 1}] * 3)
 
     def test_llr_curves_rows(self, tmp_path):
-        rows, _ = run_llr_curves(small_config(llr_snr_db=[0.0, 10.0]))
-        self.assert_same_bytes(tmp_path, LLR_FIELDS, rows)
+        segments, _ = run_llr_curves(small_config(llr_snr_db=[0.0, 10.0]))
+        self.assert_same_segment_bytes(tmp_path, LLR_FIELDS, segments)
+
+    EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e-300, 5e-324, -5e-324, 1.0 / 3.0]
+
+    def test_array_segments_with_edge_floats(self, tmp_path):
+        x = np.array(self.EDGE_FLOATS)
+        segments = [{"x": x, "y": x[::-1].copy(), "z": np.float32(0.1) + x.astype(np.float32)}]
+        self.assert_same_segment_bytes(tmp_path, ["x", "y", "z"], segments)
+
+    def test_arrays_mixed_with_constants_and_rows(self, tmp_path):
+        x = np.array(self.EDGE_FLOATS)
+        fields = ["x", "none", "name", "quoted", "n", "f", "missing"]
+        segments = [
+            {"x": x, "none": None, "name": "analog-bjt", "quoted": 'say "hi", twice', "n": 7, "f": -0.0},
+            {"x": 2.5, "name": "row", "n": np.int64(-3), "quoted": "a\nb"},
+            {"x": np.linspace(0.0, 1.0, 700), "name": "exact", "n": 0, "f": np.float64(1e-300), "none": True},
+            {},
+        ]
+        self.assert_same_segment_bytes(tmp_path, fields, segments)
+        self.assert_same_segment_bytes(tmp_path, ["with,comma", "x"], [{"x": x, "with,comma": None}])
+
+    def test_zero_length_and_single_field_segments(self, tmp_path):
+        segments = [{"x": np.array([]), "s": "gone"}, {"x": np.array([1.5, -0.0]), "s": ""}, {"s": "kept"}]
+        self.assert_same_segment_bytes(tmp_path, ["x", "s"], segments)
+        self.assert_same_segment_bytes(tmp_path, ["s"], segments)
+        self.assert_same_segment_bytes(tmp_path, [], segments)
+
+    @pytest.mark.parametrize(
+        "segment",
+        [
+            {"a": np.zeros(3), "b": np.zeros(4)},
+            {"a": np.zeros((2, 3))},
+            {"a": np.zeros(6), "b": np.zeros((2, 3))},
+            {"a": np.float64(1.0), "b": np.zeros((1, 1))},
+        ],
+    )
+    def test_bad_array_shapes_rejected(self, tmp_path, segment):
+        with pytest.raises(ValueError, match="1-d of one length"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], [{"a": 1.0}, segment])

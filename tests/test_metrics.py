@@ -101,6 +101,13 @@ class TestScalarMetrics:
             ev = evaluate_demappers({"const": lambda r, k, llr=llr: np.full(r.size, llr)}, c, p, 1000, 9)
             assert ev["const"].ber_est.errors == errors
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_llrs_name_the_rule(self, c, value):
+        p = from_snr_db(5.0)
+        fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "broken": lambda r, k: np.full(r.size, value)}
+        with pytest.raises(ValueError, match="demapper 'broken': its LLRs give non-finite information"):
+            evaluate_demappers(fns, c, p, 1000, 9, ref_id="exact", n_workers=2, chunk_size=300)
+
     def test_energy_per_bit(self):
         assert energy_per_bit(0.35e-3, 350e6, 3) == pytest.approx(0.3333e-12, abs=1e-15)
         assert energy_per_bit(1.0, 1.0, 1) == 1.0

@@ -186,6 +186,13 @@ class TestAgreementProperties:
                 assert np.min(np.abs(rr - ml_cross)) < window_limit
 
 
+@pytest.mark.parametrize("fn", [exact_llr, maxlog_llr])
+@pytest.mark.parametrize("k", [0, 4, -1])
+def test_bit_position_outside_1_to_3_rejected(c, p10, fn, k):
+    with pytest.raises(ValueError, match=rf"bit position k must be 1, 2 or 3, got {k}$"):
+        fn(0.1, k, c, p10)
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(demapsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
