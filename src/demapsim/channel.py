@@ -63,6 +63,8 @@ def chunk_sizes(n_total: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]
     """Split n_total samples into fixed-size work units (last one short)."""
     if n_total <= 0:
         raise ValueError(f"n_total must be positive, got {n_total}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     full, rem = divmod(n_total, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 

@@ -31,8 +31,14 @@ def main():
     """
 
 
-# config key that --samples sets, per experiment that draws samples
-_SAMPLES_KEY = {"rate-penalty": "n_samples", "ber-vs-rate": "n_symbols"}
+# the config key each flag sets, per experiment; every experiment reads
+# --seed and --out, and a flag missing here would change nothing
+_FLAG_KEYS = {
+    "llr-curves": {"--snr-db": "llr_snr_db"},
+    "rate-penalty": {"--snr-db": "snr_db", "--workers": "n_workers", "--samples": "n_samples"},
+    "ber-vs-rate": {"--snr-db": "ber_snr_db", "--workers": "n_workers", "--samples": "n_symbols"},
+    "transitions": {},
+}
 
 
 def _experiment_command(experiment: str, help_text: str):
@@ -48,19 +54,18 @@ def _experiment_command(experiment: str, help_text: str):
     @click.option("--samples", type=int, default=None,
                   help="Monte Carlo sample count override (symbols per rate for ber-vs-rate).")
     def command(config_path, seed, snr_db, out_path, workers, samples):
-        overrides = {"seed": seed, "n_workers": workers, "out": out_path}
-        if samples is not None:
-            if experiment not in _SAMPLES_KEY:
-                raise click.ClickException(f"--samples: {experiment} draws no Monte Carlo samples")
-            overrides[_SAMPLES_KEY[experiment]] = samples
-        if snr_db is not None:
-            overrides["snr_db"] = snr_db
-            if experiment == "llr-curves":
-                overrides["llr_snr_db"] = snr_db
-            if experiment == "ber-vs-rate":
-                if len(snr_db) != 1:
+        overrides = {"seed": seed, "out": out_path}
+        for flag, value in (("--snr-db", snr_db), ("--workers", workers), ("--samples", samples)):
+            if value is None:
+                continue
+            key = _FLAG_KEYS[experiment].get(flag)
+            if key is None:
+                raise click.ClickException(f"{flag} does not apply to {experiment}")
+            if key == "ber_snr_db":  # one SNR, not a list
+                if len(value) != 1:
                     raise click.ClickException("ber-vs-rate takes a single --snr-db value")
-                overrides["ber_snr_db"] = snr_db[0]
+                value = value[0]
+            overrides[key] = value
         try:
             cfg = load_config(config_path, overrides)
             path = run_experiment(experiment, cfg, out_path)

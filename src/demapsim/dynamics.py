@@ -5,7 +5,10 @@ value for the current input.  When a symbol transition re-activates a
 cell that was in its zero-output state, charge stored in that state
 must first drain, modeled as the output holding its pre-transition
 value for a fixed plateau time before relaxation begins (plateau time
-zero in MOSFET mode).
+zero in MOSFET mode).  One engine, ``_settle``, gives the output at
+chosen instants of every symbol: ``sampled_outputs`` asks it for the
+sampling instant and ``simulate_transient`` for every step of the trace,
+so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -91,35 +94,21 @@ def simulate_transient(
     The trace starts settled on the first symbol.  At each boundary the
     static target switches; if the transition exits saturation the
     output holds its pre-transition value for ``t_plateau`` and then
-    relaxes exponentially with ``tau``.
+    relaxes exponentially with ``tau``.  The engine of ``sampled_outputs``
+    gives the output at every step of each symbol.
     """
     r_seq = np.asarray(symbol_seq, dtype=float)
     if r_seq.size == 0:
         raise ValueError("symbol sequence must be non-empty")
     if not symbol_rate > 0:
         raise ValueError(f"symbol rate must be positive, got {symbol_rate}")
-    period = 1.0 / symbol_rate
-    dt = period / dp.samples_per_symbol
+    dt = 1.0 / symbol_rate / dp.samples_per_symbol
     vin_seq = np.asarray(d.input_map(r_seq), dtype=float)
     targets = demap_static(vin_seq, d, k)
-    cells = d.cells_for_bit(k)
-    flags = _exit_flags(vin_seq, cells)
-
-    n_steps = r_seq.size * dp.samples_per_symbol
-    time = np.arange(n_steps + 1) * dt
-    vout = np.empty(n_steps + 1)
-    v = float(targets[0])
-    vout[0] = v
-    plateau_until = 0.0
-    for step in range(n_steps):
-        t0 = step * dt
-        sym = step // dp.samples_per_symbol
-        if step % dp.samples_per_symbol == 0 and flags[sym]:
-            plateau_until = t0 + dp.t_plateau
-        relax = (t0 + dt) - max(t0, plateau_until)
-        if relax > 0.0:
-            v = targets[sym] + (v - targets[sym]) * math.exp(-relax / dp.tau)
-        vout[step + 1] = v
+    flags = _exit_flags(vin_seq, d.cells_for_bit(k))
+    steps = np.arange(1, dp.samples_per_symbol + 1) * dt
+    vout = np.concatenate(([targets[0]], _settle(targets, flags, symbol_rate, dp, steps).ravel()))
+    time = np.arange(vout.size) * dt
     return TransientTrace(time=time, vout=vout)
 
 
@@ -132,22 +121,30 @@ def sampled_outputs(
 ) -> np.ndarray:
     """Output voltage at the sampling instant of every symbol.
 
-    Equivalent to sampling ``simulate_transient`` at ``sample_fraction``
-    of each symbol, without building the trace.  The plateau left at
-    symbol i depends only on the symbols since the last saturation exit
-    (``flags[0]`` is ignored), so it is looked up in a short table of the
-    values a plateau passes through, one period at a time; the table
-    also holds, per plateau value, whether the sample and the symbol end
-    are held and the decay factors that apply otherwise.  The boundary
+    The one-instant case of the engine behind ``simulate_transient``,
+    at ``sample_fraction`` of each symbol.  ``vin_seq`` is not read.
+    """
+    times = np.array([dp.sample_fraction * (1.0 / symbol_rate)])
+    return _settle(targets, flags, symbol_rate, dp, times)[:, 0]
+
+
+def _settle(targets, flags, symbol_rate: float, dp: DynamicsParams, times: np.ndarray) -> np.ndarray:
+    """Output at ``times`` (each in (0, period]) after the start of every
+    symbol, shape (symbols, times); the one settling engine.
+
+    The plateau left at symbol i depends only on the symbols since the
+    last saturation exit (``flags[0]`` is ignored), so it is looked up in
+    a short table of the values a plateau passes through, one period at
+    a time; the table also holds, per plateau value and time, whether
+    the output is still held and the decay factor that applies
+    otherwise, with the symbol end as a last column.  The boundary
     voltages follow v_b[i] = a[i]*v_b[i-1] + (1 - a[i])*tgt[i], with
     a = 1 for a symbol held to its end, computed by a log-depth prefix
     scan; each sample then follows from v_b[i-1] in one step.
     """
     period = 1.0 / symbol_rate
-    ts = dp.sample_fraction * period
-    tau = dp.tau
-    n = vin_seq.size
     tgt = np.asarray(targets, dtype=float)
+    n = tgt.size
 
     # plateau values after an exit, one period apart, then 0.0 for "no
     # exit yet"; never more entries than there are symbols
@@ -155,9 +152,9 @@ def sampled_outputs(
     while plateaus[-1] > 0.0 and len(plateaus) < n:
         plateaus.append(max(0.0, plateaus[-1] - period))
     plateaus.append(0.0)
-    hold_s = np.array([ts <= p for p in plateaus])
-    decay_s = np.array([1.0 if ts <= p else math.exp(-(ts - p) / tau) for p in plateaus])
-    decay_b = np.array([1.0 if period <= p else math.exp(-(period - p) / tau) for p in plateaus])
+    relax = np.append(times, period) - np.array(plateaus)[:, None]
+    hold = relax <= 0.0
+    decay = np.array([math.exp(-x / dp.tau) for x in np.maximum(relax, 0.0).ravel().tolist()]).reshape(hold.shape)
 
     idx = np.arange(n)
     last_exit = np.where(flags, idx, -1)
@@ -166,15 +163,15 @@ def sampled_outputs(
     row = np.minimum(np.where(last_exit < 0, n, idx - last_exit), len(plateaus) - 1)
 
     # v_b[i] = a[i]*v_b[i-1] + b[i]; a[0] = 0 starts the trace settled
-    a = decay_b[row]
+    a = decay[:, -1].take(row)
     a[0] = 0.0
     b = (1.0 - a) * tgt
     _affine_scan_(a, b)
 
-    out = np.empty(n)
+    out = np.empty((n, relax.shape[1] - 1))
     out[0] = tgt[0]
-    prev, t, r = b[:-1], tgt[1:], row[1:]
-    out[1:] = np.where(hold_s[r], prev, t + (prev - t) * decay_s[r])
+    prev, t, r = b[:-1, None], tgt[1:, None], row[1:]
+    out[1:] = np.where(hold[:, :-1].take(r, axis=0), prev, t + (prev - t) * decay[:, :-1].take(r, axis=0))
     return out
 
 

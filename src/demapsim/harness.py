@@ -52,7 +52,6 @@ from .reference import exact_llr, maxlog_llr
 
 EXPERIMENTS = ("llr-curves", "rate-penalty", "ber-vs-rate", "transitions")
 MODES = ("exact", "maxlog", "analog-bjt", "analog-mosfet")
-ANALOG_MODES = ("analog-bjt", "analog-mosfet")
 
 
 class ConfigError(ValueError):
@@ -227,7 +226,7 @@ class Workbench:
 
     c: Constellation
     imap: AffineMap
-    demappers: dict[str, AnalogDemapper]
+    demappers: dict[str, AnalogDemapper]  # the analog modes, in ``cfg["modes"]`` order
     cfg: dict
 
     @classmethod
@@ -237,8 +236,9 @@ class Workbench:
         imap = input_map(c, vmin, vmax)
         dem_cfg = cfg["demapper"]
         demappers = {}
-        for mode_id, preset in (("analog-bjt", "bjt"), ("analog-mosfet", "mosfet")):
-            if mode_id in cfg["modes"]:
+        for mode_id in cfg["modes"]:
+            if mode_id.startswith("analog-"):
+                preset = mode_id.removeprefix("analog-")
                 demappers[mode_id] = build_demapper(
                     c,
                     imap,
@@ -498,10 +498,7 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
         }
     )
 
-    for mode_id in cfg["modes"]:
-        if mode_id not in ANALOG_MODES:
-            continue
-        demapper = bench.demappers[mode_id]
+    for mode_id, demapper in bench.demappers.items():
         dp = _dynamics_params(cfg, demapper, int(cfg["dynamics"]["samples_per_symbol"]))
         sweep = ber_vs_rate(
             rates,
@@ -535,10 +532,7 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
     rate = float(tr_cfg["symbol_rate_sps"])
     sps = int(tr_cfg["samples_per_symbol"])
     segments = []
-    for mode_id in cfg["modes"]:
-        if mode_id not in ANALOG_MODES:
-            continue
-        demapper = bench.demappers[mode_id]
+    for mode_id, demapper in bench.demappers.items():
         dp = _dynamics_params(cfg, demapper, sps)
         for name, (r_a, r_b) in transitions.items():
             traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)]

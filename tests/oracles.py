@@ -5,9 +5,10 @@ oracle is a straight transcription without log-sum-exp stabilization
 (only valid where naive exponentials are safe), the max-log oracle is
 an explicit loop, the mutual-information oracle is Gauss-Hermite
 quadrature of the defining expectation, the analog cell oracle is
-the softplus hinge written with np.logaddexp, the settling oracle is the
-per-symbol loop, and the CSV oracle is ``csv.writer`` fed one formatted
-cell at a time, on row dicts that ``segment_rows`` expands from segments.
+the softplus hinge written with np.logaddexp, the settling oracles are
+the per-symbol and per-step loops, and the CSV oracle is ``csv.writer``
+fed one formatted cell at a time, on row dicts that ``segment_rows``
+expands from segments.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from demapsim.analog import AnalogDemapper, CellSpec
+from demapsim.analog import AnalogDemapper, CellSpec, demap_static
 from demapsim.constellation import Constellation
+from demapsim.dynamics import TransientTrace, _exit_flags
 
 
 def class_indices(k: int, b: int, c: Constellation) -> np.ndarray:
@@ -118,6 +120,38 @@ def loop_sampled_outputs(vin_seq, targets, flags, symbol_rate: float, dp) -> np.
         else:
             v_b = tgt + (v_b - tgt) * math.exp(-(period - plateau) / tau)
     return out
+
+
+def loop_simulate_transient(symbol_seq, symbol_rate: float, d: AnalogDemapper, k: int, dp) -> TransientTrace:
+    """Settling trace by an explicit per-step loop."""
+    r_seq = np.asarray(symbol_seq, dtype=float)
+    if r_seq.size == 0:
+        raise ValueError("symbol sequence must be non-empty")
+    if not symbol_rate > 0:
+        raise ValueError(f"symbol rate must be positive, got {symbol_rate}")
+    period = 1.0 / symbol_rate
+    dt = period / dp.samples_per_symbol
+    vin_seq = np.asarray(d.input_map(r_seq), dtype=float)
+    targets = demap_static(vin_seq, d, k)
+    cells = d.cells_for_bit(k)
+    flags = _exit_flags(vin_seq, cells)
+
+    n_steps = r_seq.size * dp.samples_per_symbol
+    time = np.arange(n_steps + 1) * dt
+    vout = np.empty(n_steps + 1)
+    v = float(targets[0])
+    vout[0] = v
+    plateau_until = 0.0
+    for step in range(n_steps):
+        t0 = step * dt
+        sym = step // dp.samples_per_symbol
+        if step % dp.samples_per_symbol == 0 and flags[sym]:
+            plateau_until = t0 + dp.t_plateau
+        relax = (t0 + dt) - max(t0, plateau_until)
+        if relax > 0.0:
+            v = targets[sym] + (v - targets[sym]) * math.exp(-relax / dp.tau)
+        vout[step + 1] = v
+    return TransientTrace(time=time, vout=vout)
 
 
 def _fmt_cell(value) -> str:

@@ -83,6 +83,9 @@ class TestChunking:
     def test_invalid_total(self):
         with pytest.raises(ValueError):
             chunk_sizes(0)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="chunk_size"):
+                chunk_sizes(10, size)
 
 
 class TestDraw:

@@ -17,7 +17,7 @@ from demapsim.harness import DEFAULT_CONFIG
 from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr
 from demapsim.analog import CellSpec
-from oracles import loop_sampled_outputs
+from oracles import loop_sampled_outputs, loop_simulate_transient
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +324,54 @@ class TestSampledOutputs:
                 for dm, dp in ((bjt, bjt_params()), (mosfet, mosfet_params()))
             ]
         assert runs["vectorized"] == runs["loop"]
+
+
+class TestTransientEngine:
+    """``simulate_transient`` on the settling engine against the per-step loop."""
+
+    ATOL = 1e-12
+
+    def assert_matches_loop(self, seq, rate, d, k, dp):
+        got = simulate_transient(seq, rate, d, k, dp)
+        want = loop_simulate_transient(seq, rate, d, k, dp)
+        np.testing.assert_array_equal(got.time, want.time)
+        np.testing.assert_allclose(got.vout, want.vout, rtol=0.0, atol=self.ATOL)
+
+    @staticmethod
+    def noisy_symbols(c, n, seed):
+        rng = np.random.default_rng(seed)
+        return transmit(c.points[rng.integers(0, c.points.size, n)], from_snr_db(10.0), rng)
+
+    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("rate", DEFAULT_RATES + [1e9])
+    def test_matches_loop_at_every_rate(self, c, imap, preset, rate):
+        d = build_demapper(c, imap, preset)
+        dp = DynamicsParams.for_mode(preset)
+        seq = self.noisy_symbols(c, 60, seed=int(rate) % 991)
+        for k in (1, 2, 3):
+            if preset == "bjt":
+                assert _exit_flags(np.asarray(d.input_map(seq)), d.cells_for_bit(k)).any()
+            self.assert_matches_loop(seq, rate, d, k, dp)
+
+    def test_plateau_longer_than_the_sequence(self, c, bjt):
+        dp = bjt_params(t_plateau=1e-6)
+        seq = c.d * np.array([3.0, 7.0, -7.0, 5.0, 1.0])
+        assert dp.t_plateau > seq.size / 5e8
+        for k in (1, 2, 3):
+            self.assert_matches_loop(seq, 5e8, bjt, k, dp)
+
+    def test_plateau_ends_within_a_step(self, c, bjt):
+        # 1.234 ns ends 34% into the 13th 0.1 ns step after the boundary
+        dp = bjt_params(t_plateau=1.234e-9, samples_per_symbol=100)
+        seq = c.d * np.array([3.0, 7.0, 7.0, -7.0, 5.0])
+        for k in (1, 2, 3):
+            self.assert_matches_loop(seq, 1e8, bjt, k, dp)
+
+    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    def test_two_samples_per_symbol(self, c, imap, preset):
+        d = build_demapper(c, imap, preset)
+        dp = DynamicsParams.for_mode(preset, samples_per_symbol=2)
+        seq = self.noisy_symbols(c, 80, seed=2)
+        for k in (1, 2, 3):
+            for rate in (5e7, 3e8, 1e9):
+                self.assert_matches_loop(seq, rate, d, k, dp)

@@ -232,6 +232,14 @@ class TestOutputsAndDeterminism:
         assert any("+3d_to_+7d" in line and "analog-bjt" in line for line in lines)
         assert any("-7d_to_-5d" in line and "analog-mosfet" in line for line in lines)
 
+    @pytest.mark.parametrize("experiment", ["ber-vs-rate", "transitions"])
+    def test_analog_rows_follow_the_modes_order(self, tmp_path, experiment):
+        cfg = small_config(modes=["analog-mosfet", "exact", "analog-bjt"], n_symbols=1000, out=str(tmp_path / "m.csv"))
+        path = run_experiment(experiment, cfg)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        ids = dict.fromkeys(row[header.index("demapper_id")] for row in rows)  # in first-seen order
+        assert [mode for mode in ids if mode.startswith("analog-")] == ["analog-mosfet", "analog-bjt"]
+
 
 class TestCli:
     def test_successful_run(self, tmp_path):
@@ -283,12 +291,21 @@ class TestCli:
         bits = header.index("bits")
         assert {row[bits] for row in rows} == {"6000"}
 
-    @pytest.mark.parametrize("experiment", ["llr-curves", "transitions"])
-    def test_samples_rejected_where_nothing_is_sampled(self, tmp_path, experiment):
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [
+            pytest.param("llr-curves", "--samples", "2000", id="llr-curves"),
+            pytest.param("transitions", "--samples", "2000", id="transitions"),
+            pytest.param("transitions", "--snr-db", "3", id="transitions-snr-db"),
+            pytest.param("transitions", "--workers", "2", id="transitions-workers"),
+            pytest.param("llr-curves", "--workers", "2", id="llr-curves-workers"),
+        ],
+    )
+    def test_samples_rejected_where_nothing_is_sampled(self, tmp_path, experiment, flag, value):
         out = tmp_path / "x.csv"
-        result = CliRunner().invoke(main, [experiment, "--samples", "2000", "--out", str(out)])
+        result = CliRunner().invoke(main, [experiment, flag, value, "--out", str(out)])
         assert result.exit_code != 0
-        assert "--samples" in result.output
+        assert flag in result.output
         assert not out.exists()
 
 
