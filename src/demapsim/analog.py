@@ -10,11 +10,13 @@ whole model runs in volts.
 given as its breakpoints and per-segment slopes, into such cells: one
 cell per interior slope change, anchored so that every ramp saturates
 exactly at a range edge.  ``build_demapper`` feeds it the max-log LLR
-of each bit mapped to input volts.  Interior cells ramp toward the
-lower edge and the final segment is covered by one upward ramp; with
-this orientation the only cells that leave their zero-output state on
-an upward input step are the ones guarding the top of the range, which
-is what the settling model in ``dynamics`` relies on.
+of each bit mapped to input volts, with the knee and saturation budget
+of an analog mode: a ``PRESETS`` row, keyed by the mode's demapper id.
+Interior cells ramp toward the lower edge and the final segment is
+covered by one upward ramp; with this orientation the only cells that
+leave their zero-output state on an upward input step are the ones
+guarding the top of the range, which is what the settling model in
+``dynamics`` relies on.
 """
 
 from __future__ import annotations
@@ -33,16 +35,21 @@ from .reference import maxlog_segment_slopes
 VDD_DEFAULT = 1.6  # supply rail, volts
 VIN_HARD_MAX = 0.64  # input cap keeping the steering pair in saturation
 
-# Per-cell saturation ceiling I_bias * R_out and knee softness defaults
-# for the two device flavors (sharp mirrors vs square-law mirrors).
-BJT_ISAT_V = 0.3       # 100 uA * 3 kOhm
-MOSFET_ISAT_V = 0.03   # 10 uA * 3 kOhm
-BJT_KNEE_V = 1e-3
-MOSFET_KNEE_V = 25e-3
+# The analog modes by demapper id: knee softness and per-cell saturation
+# ceiling I_bias * R_out of the two device flavors (sharp mirrors vs
+# square-law mirrors).
+PRESETS = {
+    "analog-bjt": {"knee_eps_v": 1e-3, "isat_v": 0.3},  # 100 uA * 3 kOhm
+    "analog-mosfet": {"knee_eps_v": 25e-3, "isat_v": 0.03},  # 10 uA * 3 kOhm
+}
 
 # Observation half-span the synthesized ramps stay linear over; wide
 # enough to cover the calibration grid at the lowest supported SNR.
 R_SPAN_DEFAULT = 5.0
+
+# SNR of the max-log targets: ``synthesize_cells`` rescales the gains,
+# which removes the SNR's overall factor, so this sets only output_scales.
+_SNR_REF_DB = 10.0
 
 _GAIN_EPS = 1e-12
 
@@ -147,7 +154,7 @@ def synthesize_cells(
     *,
     vin_min: float,
     vin_max: float,
-    isat_v: float = BJT_ISAT_V,
+    isat_v: float = PRESETS["analog-bjt"]["isat_v"],
 ) -> CellSynthesis:
     """Decompose a continuous PWL target into saturating-ramp cells.
 
@@ -268,27 +275,26 @@ def demap_static(vin, d: AnalogDemapper, k: int):
 def build_demapper(
     c: Constellation,
     input_map: AffineMap,
-    mode: str = "mosfet",
+    mode: str = "analog-mosfet",
     *,
     knee_eps: float | None = None,
     isat_v: float | None = None,
-    snr_ref_db: float = 10.0,
     r_span: float = R_SPAN_DEFAULT,
     vdd: float = VDD_DEFAULT,
 ) -> AnalogDemapper:
     """Synthesize a demapper from the max-log targets of all three bits.
 
-    The max-log shape is SNR-independent up to an overall factor, so a
-    single cell set built at ``snr_ref_db`` serves every operating SNR
-    through the per-SNR output calibration.  ``r_span`` sets how far the
-    end ramps stay linear, in observation units.
+    ``mode`` is a ``PRESETS`` key; ``knee_eps`` and ``isat_v`` override
+    its values.  The max-log shape is SNR-independent up to an overall
+    factor that the synthesis scales away, so there is no synthesis SNR
+    to choose: one cell set serves every operating SNR through the
+    per-SNR output calibration.  ``r_span`` sets how far the end ramps
+    stay linear, in observation units.
     """
-    presets = {"bjt": (BJT_KNEE_V, BJT_ISAT_V), "mosfet": (MOSFET_KNEE_V, MOSFET_ISAT_V)}
-    if mode not in presets and (knee_eps is None or isat_v is None):
-        raise ValueError(f"unknown mode {mode!r}; give knee_eps and isat_v explicitly")
-    preset_knee, preset_isat = presets.get(mode, (None, None))
-    knee = preset_knee if knee_eps is None else float(knee_eps)
-    isat = preset_isat if isat_v is None else float(isat_v)
+    if mode not in PRESETS:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {list(PRESETS)}")
+    knee = PRESETS[mode]["knee_eps_v"] if knee_eps is None else float(knee_eps)
+    isat = PRESETS[mode]["isat_v"] if isat_v is None else float(isat_v)
 
     if input_map.scale <= 0.0:
         raise ValueError("input map must have positive scale")
@@ -296,7 +302,7 @@ def build_demapper(
     if window_max > VIN_HARD_MAX + 1e-12:
         raise ValueError(f"constellation maps to {window_max:.3f} V, above the {VIN_HARD_MAX} V input cap")
 
-    p_ref = from_snr_db(snr_ref_db)
+    p_ref = from_snr_db(_SNR_REF_DB)
     vin_min = float(input_map(-r_span))
     vin_max = float(input_map(r_span))
     all_cells = []

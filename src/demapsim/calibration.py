@@ -47,15 +47,14 @@ def calibration_grid(c: Constellation, sigma: float, n_points: int = GRID_POINTS
 def fit_output_map(k: int, vout_curve, ref_llr, grid: np.ndarray) -> AffineMap:
     """Ordinary least squares of the reference LLR on (vout, 1).
 
-    ``vout_curve`` and ``ref_llr`` may be callables of the observation
-    or already-sampled arrays on ``grid``.  Returns the (gamma_k,
-    zeta_k) minimizing the discretized squared amplitude error.
+    Returns the (gamma_k, zeta_k) minimizing the squared amplitude error
+    over the samples on ``grid``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.unique(grid).size < 2:
         raise ValueError("calibration grid needs at least 2 distinct points")
-    v = np.asarray(vout_curve(grid) if callable(vout_curve) else vout_curve, dtype=float)
-    ref = np.asarray(ref_llr(grid) if callable(ref_llr) else ref_llr, dtype=float)
+    v = np.asarray(vout_curve, dtype=float)
+    ref = np.asarray(ref_llr, dtype=float)
     if v.shape != grid.shape or ref.shape != grid.shape:
         raise ValueError("curve samples must match the grid shape")
     v_mean = v.mean()
@@ -70,5 +69,5 @@ def fit_output_map(k: int, vout_curve, ref_llr, grid: np.ndarray) -> AffineMap:
 
 def fit_residual_rms(map_: AffineMap, vout: np.ndarray, ref: np.ndarray) -> float:
     """Root-mean-square residual of a fitted output map on samples."""
-    res = map_.scale * np.asarray(vout, float) + map_.offset - np.asarray(ref, float)
+    res = map_(vout) - np.asarray(ref, float)
     return float(np.sqrt(np.mean(res * res)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .analog import AnalogDemapper, cell_ideal_active, demap_static
+from .analog import PRESETS, AnalogDemapper, cell_ideal_active, demap_static
 from .constellation import Constellation
 
 TAU_DEFAULT = 0.4e-9        # settling time constant: 5 tau = 2 ns
@@ -49,9 +49,11 @@ class DynamicsParams:
 
     @classmethod
     def for_mode(cls, mode: str, *, t_plateau_bjt: float = T_PLATEAU_BJT, **kwargs) -> "DynamicsParams":
-        """Parameters of a demapper preset: the plateau applies in BJT mode only."""
+        """Parameters of an analog mode: the plateau applies in ``analog-bjt`` only."""
+        if mode not in PRESETS:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {list(PRESETS)}")
         kwargs.setdefault("tau", TAU_DEFAULT)
-        kwargs.setdefault("t_plateau", t_plateau_bjt if mode == "bjt" else 0.0)
+        kwargs.setdefault("t_plateau", t_plateau_bjt if mode == "analog-bjt" else 0.0)
         return cls(**kwargs)
 
 
@@ -223,15 +225,14 @@ def ber_vs_rate(
 
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
-            vin = np.asarray(d.input_map(r), dtype=float)
+            vin = d.input_map(r)
             errors = 0
             for k in (1, 2, 3):
                 cells = d.cells_for_bit(k)
                 targets = demap_static(vin, d, k)
                 flags = _exit_flags(vin, cells)
                 v_s = sampled_outputs(vin, targets, flags, rate, dp)
-                m = output_maps[k]
-                llr = m.scale * v_s + m.offset
+                llr = output_maps[k](v_s)
                 errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
             return errors
 

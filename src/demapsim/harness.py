@@ -24,11 +24,8 @@ import yaml
 
 from . import __version__
 from .analog import (
+    PRESETS,
     AnalogDemapper,
-    BJT_ISAT_V,
-    BJT_KNEE_V,
-    MOSFET_ISAT_V,
-    MOSFET_KNEE_V,
     R_SPAN_DEFAULT,
     VDD_DEFAULT,
     VIN_HARD_MAX,
@@ -51,7 +48,7 @@ from .metrics import evaluate_demappers, rate_penalty
 from .reference import exact_llr, maxlog_llr
 
 EXPERIMENTS = ("llr-curves", "rate-penalty", "ber-vs-rate", "transitions")
-MODES = ("exact", "maxlog", "analog-bjt", "analog-mosfet")
+MODES = ("exact", "maxlog", *PRESETS)
 
 
 class ConfigError(ValueError):
@@ -74,10 +71,8 @@ DEFAULT_CONFIG: dict = {
     "input_window_v": [0.04, 0.60],
     "demapper": {
         "vdd": VDD_DEFAULT,
-        "snr_ref_db": 10.0,
         "r_span": R_SPAN_DEFAULT,
-        "bjt": {"knee_eps_v": BJT_KNEE_V, "isat_v": BJT_ISAT_V},
-        "mosfet": {"knee_eps_v": MOSFET_KNEE_V, "isat_v": MOSFET_ISAT_V},
+        **copy.deepcopy(PRESETS),
     },
     "dynamics": {
         "tau_s": TAU_DEFAULT,
@@ -186,6 +181,8 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             raise ConfigError(f"modes: unknown demapper id {mode!r}; expected subset of {MODES}")
         if mode in modes[:i]:
             raise ConfigError(f"modes: {mode!r} is listed more than once")
+    if experiment in ("ber-vs-rate", "transitions") and not any(mode in PRESETS for mode in modes):
+        raise ConfigError(f"modes: {experiment} needs an analog mode, one of {tuple(PRESETS)}")
     for key, minimum in (("n_samples", 1000), ("n_symbols", 1000), ("n_workers", 1), ("chunk_size", 1)):
         _require_int(cfg.get(key), key, minimum)
     window = cfg.get("input_window_v")
@@ -211,12 +208,11 @@ def validate_config(cfg: dict, experiment: str) -> dict:
         _require_int(block.get("samples_per_symbol"), f"{field}.samples_per_symbol", 2)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
     _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
-    _require_number(dem.get("snr_ref_db"), "demapper.snr_ref_db")
     _require_number(dem.get("r_span"), "demapper.r_span", 0.0)
-    for preset in ("bjt", "mosfet"):
-        cell = _require_mapping(dem.get(preset), f"demapper.{preset}")
-        _require_number(cell.get("knee_eps_v"), f"demapper.{preset}.knee_eps_v", 0.0, inclusive=True)
-        _require_number(cell.get("isat_v"), f"demapper.{preset}.isat_v", 0.0)
+    for mode_id in PRESETS:
+        cell = _require_mapping(dem.get(mode_id), f"demapper.{mode_id}")
+        _require_number(cell.get("knee_eps_v"), f"demapper.{mode_id}.knee_eps_v", 0.0, inclusive=True)
+        _require_number(cell.get("isat_v"), f"demapper.{mode_id}.isat_v", 0.0)
     return cfg
 
 
@@ -237,15 +233,13 @@ class Workbench:
         dem_cfg = cfg["demapper"]
         demappers = {}
         for mode_id in cfg["modes"]:
-            if mode_id.startswith("analog-"):
-                preset = mode_id.removeprefix("analog-")
+            if mode_id in PRESETS:
                 demappers[mode_id] = build_demapper(
                     c,
                     imap,
-                    mode=preset,
-                    knee_eps=float(dem_cfg[preset]["knee_eps_v"]),
-                    isat_v=float(dem_cfg[preset]["isat_v"]),
-                    snr_ref_db=float(dem_cfg["snr_ref_db"]),
+                    mode=mode_id,
+                    knee_eps=float(dem_cfg[mode_id]["knee_eps_v"]),
+                    isat_v=float(dem_cfg[mode_id]["isat_v"]),
                     r_span=float(dem_cfg["r_span"]),
                     vdd=float(dem_cfg["vdd"]),
                 )
@@ -258,7 +252,7 @@ class Workbench:
         params = from_snr_db(snr_db)
         grid = calibration_grid(self.c, params.sigma)
         # the input voltages and reference LLRs are shared by every mode
-        vin = np.asarray(self.imap(grid))
+        vin = self.imap(grid)
         refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
         return {
             mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), refs[k], grid) for k in (1, 2, 3)}
@@ -279,9 +273,7 @@ class Workbench:
                 per_bit = output_maps[mode_id]
 
                 def analog_fn(r, k, demapper=demapper, per_bit=per_bit):
-                    vout = demap_static(np.asarray(demapper.input_map(r)), demapper, k)
-                    m = per_bit[k]
-                    return m.scale * vout + m.offset
+                    return per_bit[k](demap_static(demapper.input_map(r), demapper, k))
 
                 fns[mode_id] = analog_fn
         return fns

@@ -44,12 +44,12 @@ def imap(c):
 
 @pytest.fixture(scope="module")
 def mosfet(c, imap):
-    return build_demapper(c, imap, "mosfet")
+    return build_demapper(c, imap, "analog-mosfet")
 
 
 @pytest.fixture(scope="module")
 def bjt(c, imap):
-    return build_demapper(c, imap, "bjt")
+    return build_demapper(c, imap, "analog-bjt")
 
 
 def analog_llr_fns(dm, c, snr_db):
@@ -75,7 +75,7 @@ def test_criterion_01_calibration_constants(c):
 
 
 def test_criterion_02_ideal_cell_equivalence(c, imap):
-    ideal = build_demapper(c, imap, "mosfet", knee_eps=0.0)
+    ideal = build_demapper(c, imap, "analog-mosfet", knee_eps=0.0)
     worst = 0.0
     for snr in (0.0, 5.0, 10.0, 16.0):
         p = from_snr_db(snr)
@@ -207,8 +207,8 @@ def test_criterion_07_hard_decision_equivalence(c):
 def test_criterion_08_transient_shapes(c, imap, mosfet, bjt):
     snr = 10.0
     p = from_snr_db(snr)
-    dp_bjt = DynamicsParams.for_mode("bjt", samples_per_symbol=100)
-    dp_mos = DynamicsParams.for_mode("mosfet", samples_per_symbol=100)
+    dp_bjt = DynamicsParams.for_mode("analog-bjt", samples_per_symbol=100)
+    dp_mos = DynamicsParams.for_mode("analog-mosfet", samples_per_symbol=100)
     rate = 1e8
     dt = 1.0 / rate / 100
 

@@ -126,7 +126,7 @@ class TestMaxlogPwlVoltage:
     def test_matches_reference_through_inverse_map(self, c, imap):
         # ideal cells built at the 10 dB reference SNR follow the max-log
         # LLR of the inverse-mapped voltage, up to output scale and offset
-        d = build_demapper(c, imap, "bjt", knee_eps=0.0)
+        d = build_demapper(c, imap, "analog-bjt", knee_eps=0.0)
         p = from_snr_db(10.0)
         v = np.linspace(0.04, 0.60, 1000)
         r = np.asarray(imap.inverse(v))
@@ -141,7 +141,7 @@ class TestMaxlogPwlVoltage:
         llr_hi = maxlog_llr(np.asarray(imap.inverse(0.32 + x)), 1, c, p)
         llr_lo = maxlog_llr(np.asarray(imap.inverse(0.32 - x)), 1, c, p)
         np.testing.assert_allclose(llr_hi, -llr_lo, atol=1e-10)
-        d = build_demapper(c, imap, "bjt", knee_eps=0.0)
+        d = build_demapper(c, imap, "analog-bjt", knee_eps=0.0)
         mid = demap_static(0.32, d, 1)
         np.testing.assert_allclose(demap_static(0.32 + x, d, 1) - mid, mid - demap_static(0.32 - x, d, 1), atol=1e-12)
 
@@ -197,6 +197,23 @@ class TestSynthesis:
         )
         assert max(cell.isat_v for cell in syn.cells) == pytest.approx(0.3, rel=1e-12)
 
+    def test_slope_scale_cancels(self, c, imap):
+        # why build_demapper needs no synthesis SNR: the max-log slopes
+        # change with it only by an overall factor
+        p = from_snr_db(10.0)
+        breakpoints, slopes = maxlog_target(2, c, p, imap)
+        kw = dict(vin_min=float(imap(-5.0)), vin_max=float(imap(5.0)), isat_v=0.3)
+        base = synthesize_cells(breakpoints, slopes, 1.6, 1e-3, **kw)
+        for factor in (1e-3, 1e3):
+            syn = synthesize_cells(breakpoints, factor * slopes, 1.6, 1e-3, **kw)
+            assert len(syn.cells) == len(base.cells)
+            for got, want in zip(syn.cells, base.cells):
+                assert (got.vref, got.knee_eps, got.polarity, got.orientation) == (
+                    want.vref, want.knee_eps, want.polarity, want.orientation)
+                assert got.gain == pytest.approx(want.gain, rel=1e-15, abs=0.0)
+                assert got.isat_v == pytest.approx(want.isat_v, rel=1e-15, abs=0.0)
+            assert syn.output_scale == pytest.approx(base.output_scale / factor, rel=1e-15, abs=0.0)
+
     def test_breakpoint_outside_range_rejected(self):
         with pytest.raises(ValueError, match="inside the input range"):
             synthesize_cells([1.5], [0.0, 1.0], 1.6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
@@ -236,7 +253,7 @@ class TestDemapStatic:
     def test_ideal_cells_match_maxlog_after_calibration(self, c, imap):
         # the central oracle property, spot-checked at 10 dB
         p = from_snr_db(10.0)
-        dm = build_demapper(c, imap, "bjt", knee_eps=0.0)
+        dm = build_demapper(c, imap, "analog-bjt", knee_eps=0.0)
         grid = calibration_grid(c, p.sigma)
         eval_r = np.linspace(-(7 * c.d + 3 * p.sigma), 7 * c.d + 3 * p.sigma, 10001)
         for k in (1, 2, 3):
@@ -256,7 +273,7 @@ class TestDemapStatic:
         assert np.all(1.6 - demap_static(v, dm, 1) >= -1e-12)
 
     def test_output_range_mixed_polarity(self, c, imap):
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         v = np.linspace(dm.vin_min, dm.vin_max, 2001)
         for k in (1, 2, 3):
             bound = sum(cell.isat_v for cell in dm.cells_for_bit(k))
@@ -265,12 +282,12 @@ class TestDemapStatic:
     def test_smoothing_deviation_linear_in_knee(self, c, imap):
         # full static response converges to the ideal PWL as the knee
         # shrinks, with deviation bounded by C * knee_eps
-        ideal = build_demapper(c, imap, "mosfet", knee_eps=0.0)
+        ideal = build_demapper(c, imap, "analog-mosfet", knee_eps=0.0)
         v = np.linspace(ideal.vin_min + 0.01, ideal.vin_max - 0.01, 2001)
         base = {k: demap_static(v, ideal, k) for k in (1, 2, 3)}
 
         def maxdev(knee):
-            dm = build_demapper(c, imap, "mosfet", knee_eps=knee)
+            dm = build_demapper(c, imap, "analog-mosfet", knee_eps=knee)
             return max(np.abs(demap_static(v, dm, k) - base[k]).max() for k in (1, 2, 3))
 
         coeff = maxdev(10e-3) / 10e-3
@@ -279,7 +296,7 @@ class TestDemapStatic:
 
     def test_symmetry_preservation(self, c, imap):
         # smoothed response keeps the target's parity about the center
-        for mode in ("bjt", "mosfet"):
+        for mode in ("analog-bjt", "analog-mosfet"):
             dm = build_demapper(c, imap, mode)
             x = np.linspace(0.0, 0.5, 501)
             y_hi = demap_static(0.32 + x, dm, 1)
@@ -298,7 +315,7 @@ class TestSoftplusKernel:
     # 2 ulp of the 1.6 V supply
     ATOL = 4.5e-16
 
-    @pytest.fixture(scope="class", params=["bjt", "mosfet"])
+    @pytest.fixture(scope="class", params=["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     def dm(self, request, c, imap):
         return build_demapper(c, imap, request.param)
 
@@ -340,11 +357,11 @@ class TestSoftplusKernel:
 
 class TestDemapperLifecycle:
     def test_cell_counts(self, c, imap):
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         assert [len(dm.cells_for_bit(k)) for k in (1, 2, 3)] == [7, 6, 4]
 
     def test_serialization_round_trip(self, c, imap, tmp_path):
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         path = tmp_path / "demapper.yaml"
         save_demapper(dm, path)
         loaded = load_demapper(path)
@@ -355,17 +372,20 @@ class TestDemapperLifecycle:
             np.testing.assert_array_equal(demap_static(v, loaded, k), demap_static(v, dm, k))
 
     def test_dict_round_trip(self, c, imap):
-        dm = build_demapper(c, imap, "bjt")
+        dm = build_demapper(c, imap, "analog-bjt")
         assert demapper_from_dict(demapper_to_dict(dm)) == dm
 
-    def test_unknown_mode_needs_explicit_parameters(self, c, imap):
-        with pytest.raises(ValueError, match="unknown mode"):
-            build_demapper(c, imap, "nmos")
+    def test_unknown_mode_rejected(self, c, imap):
+        for mode in ("nmos", "bjt", "mosfet"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                build_demapper(c, imap, mode)
+        with pytest.raises(ValueError, match="analog-bjt"):
+            build_demapper(c, imap, "nmos", knee_eps=1e-3, isat_v=0.3)
 
     def test_window_cap_enforced(self, c):
         wide = input_map(c, 0.04, 0.70)
         with pytest.raises(ValueError, match="input cap"):
-            build_demapper(c, wide, "mosfet")
+            build_demapper(c, wide, "analog-mosfet")
 
     def test_empty_bit_position_rejected(self, imap):
         with pytest.raises(ValueError, match="no cells"):

@@ -58,7 +58,7 @@ class TestOutputFit:
 
     def test_ideal_cells_fit_maxlog_with_negligible_residual(self, c, imap):
         p = from_snr_db(10.0)
-        dm = build_demapper(c, imap, "mosfet", knee_eps=0.0)
+        dm = build_demapper(c, imap, "analog-mosfet", knee_eps=0.0)
         grid = calibration_grid(c, p.sigma)
         for k in (1, 2, 3):
             vout = demap_static(np.asarray(imap(grid)), dm, k)
@@ -79,7 +79,7 @@ class TestOutputFit:
 
     def test_fit_is_local_minimum(self, c, imap):
         p = from_snr_db(10.0)
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         grid = calibration_grid(c, p.sigma)
         vout = demap_static(np.asarray(imap(grid)), dm, 1)
         ref = np.asarray(exact_llr(grid, 1, c, p))
@@ -98,7 +98,7 @@ class TestOutputFit:
 
     def test_fit_is_snr_specific(self, c, imap):
         # a map fitted at 0 dB must lose against the matched 10 dB fit
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         fits = {}
         for snr in (0.0, 10.0):
             p = from_snr_db(snr)
@@ -126,7 +126,7 @@ class TestGridConvergence:
         # with ideal cells against max-log the fit interpolates exactly,
         # so doubling the grid density moves (gamma, zeta) by < 1e-6
         p = from_snr_db(10.0)
-        dm = build_demapper(c, imap, "mosfet", knee_eps=0.0)
+        dm = build_demapper(c, imap, "analog-mosfet", knee_eps=0.0)
         fits = []
         for n in (2001, 4001):
             grid = calibration_grid(c, p.sigma, n_points=n)
@@ -139,7 +139,7 @@ class TestGridConvergence:
         # nonzero-residual fits converge at the Riemann O(h^2) rate; the
         # calibrated curve moves by far less than the residual scale
         p = from_snr_db(10.0)
-        dm = build_demapper(c, imap, "mosfet")
+        dm = build_demapper(c, imap, "analog-mosfet")
         fits = []
         for n in (2001, 4001):
             grid = calibration_grid(c, p.sigma, n_points=n)

@@ -32,20 +32,20 @@ def imap(c):
 
 @pytest.fixture(scope="module")
 def bjt(c, imap):
-    return build_demapper(c, imap, "bjt")
+    return build_demapper(c, imap, "analog-bjt")
 
 
 @pytest.fixture(scope="module")
 def mosfet(c, imap):
-    return build_demapper(c, imap, "mosfet")
+    return build_demapper(c, imap, "analog-mosfet")
 
 
 def bjt_params(**kwargs):
-    return DynamicsParams.for_mode("bjt", **kwargs)
+    return DynamicsParams.for_mode("analog-bjt", **kwargs)
 
 
 def mosfet_params(**kwargs):
-    return DynamicsParams.for_mode("mosfet", **kwargs)
+    return DynamicsParams.for_mode("analog-mosfet", **kwargs)
 
 
 def output_maps_for(dm, c, imap, snr_db):
@@ -63,6 +63,11 @@ class TestParams:
         assert bjt_params().t_plateau == pytest.approx(2e-9)
         assert mosfet_params().t_plateau == 0.0
         assert mosfet_params().tau == pytest.approx(0.4e-9)
+
+    def test_unknown_mode_rejected(self):
+        for mode in ("nmos", "bjt", "mosfet"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                DynamicsParams.for_mode(mode)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -240,14 +245,14 @@ class TestSampledOutputs:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
 
-    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("rate", DEFAULT_RATES + [1e9, 2e9])
     def test_matches_loop_at_every_rate(self, c, imap, preset, rate):
         d = build_demapper(c, imap, preset)
         dp = DynamicsParams.for_mode(preset)
         for k in (1, 2, 3):
             vin, targets, flags = settling_inputs(d, k, 3000, seed=int(rate) % 997 + k)
-            if preset == "bjt":
+            if preset == "analog-bjt":
                 assert flags.any()
             self.assert_matches_loop(vin, targets, flags, rate, dp)
 
@@ -295,7 +300,7 @@ class TestSampledOutputs:
         for rate in (5e8, 2e9):
             self.assert_matches_loop(vin, targets, flags, rate, dp)
 
-    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("sps, fraction", [(20, 0.95), (16, 0.5), (4, 1.0)])
     def test_equals_sampled_transient(self, c, imap, preset, sps, fraction):
         """The docstring's claim: the samples of ``simulate_transient`` at
@@ -342,14 +347,14 @@ class TestTransientEngine:
         rng = np.random.default_rng(seed)
         return transmit(c.points[rng.integers(0, c.points.size, n)], from_snr_db(10.0), rng)
 
-    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("rate", DEFAULT_RATES + [1e9])
     def test_matches_loop_at_every_rate(self, c, imap, preset, rate):
         d = build_demapper(c, imap, preset)
         dp = DynamicsParams.for_mode(preset)
         seq = self.noisy_symbols(c, 60, seed=int(rate) % 991)
         for k in (1, 2, 3):
-            if preset == "bjt":
+            if preset == "analog-bjt":
                 assert _exit_flags(np.asarray(d.input_map(seq)), d.cells_for_bit(k)).any()
             self.assert_matches_loop(seq, rate, d, k, dp)
 
@@ -367,7 +372,7 @@ class TestTransientEngine:
         for k in (1, 2, 3):
             self.assert_matches_loop(seq, 1e8, bjt, k, dp)
 
-    @pytest.mark.parametrize("preset", ["bjt", "mosfet"])
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     def test_two_samples_per_symbol(self, c, imap, preset):
         d = build_demapper(c, imap, preset)
         dp = DynamicsParams.for_mode(preset, samples_per_symbol=2)

@@ -75,12 +75,15 @@ class TestConfigValidation:
             ("dynamics.t_plateau_bjt_s", "a"),
             ("ber_snr_db", True),
             ("transitions.samples_per_symbol", 1),
-            ("demapper.bjt.knee_eps_v", -1e-3),
-            ("demapper.mosfet.knee_eps_v", "a"),
-            ("demapper.bjt.isat_v", -0.3),
-            ("demapper.mosfet.isat_v", None),
+            ("demapper.analog-bjt.knee_eps_v", -1e-3),
+            ("demapper.analog-mosfet.knee_eps_v", "a"),
+            ("demapper.analog-bjt.isat_v", -0.3),
+            ("demapper.analog-mosfet.isat_v", None),
             ("dynamics.tau", 1e-9),
-            ("demapper.bjt.knee_v", 1e-3),
+            ("demapper.analog-bjt.knee_v", 1e-3),
+            ("demapper.bjt", {"knee_eps_v": 1e-3, "isat_v": 0.3}),
+            ("demapper.mosfet", {"knee_eps_v": 25e-3, "isat_v": 0.03}),
+            ("demapper.snr_ref_db", 10.0),
             ("transitions.rate_sps", 1e8),
             ("dynamics.sample_fraction", 1.5),
         ],
@@ -94,6 +97,14 @@ class TestConfigValidation:
         block[leaf] = value
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             validate_config(cfg, "ber-vs-rate")
+
+    def test_settling_experiments_need_an_analog_mode(self):
+        for experiment in ("ber-vs-rate", "transitions"):
+            with pytest.raises(ConfigError, match=f"modes: {experiment} needs an analog mode"):
+                validate_config(small_config(modes=["exact", "maxlog"]), experiment)
+            validate_config(small_config(modes=["exact", "analog-bjt"]), experiment)
+        for experiment in ("rate-penalty", "llr-curves"):
+            validate_config(small_config(modes=["exact"]), experiment)
 
     def test_dynamics_fields_checked(self):
         cfg = small_config()
