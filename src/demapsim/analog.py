@@ -17,10 +17,20 @@ covered by one upward ramp; with this orientation the only cells that
 leave their zero-output state on an upward input step are the ones
 guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
+
+The smooth cells' cost is their two softplus corners.  Most Monte
+Carlo arguments lie beyond +-37, where float64 rounds softplus(x) to x
+or to exp(x).  On ascending input each corner's argument is monotone,
+so ``cell_output_v`` finds those ends by bisection and skips their
+transcendental work, bit for bit.  ``demap_static`` and
+``cell_output_v`` sort input that is not ascending and answer in the
+caller's order.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,7 +39,7 @@ import yaml
 from .calibration import AffineMap
 from .channel import from_snr_db
 from .constellation import Constellation, bit_row
-from .metrics import _softplus_
+from .metrics import _SOFTPLUS_CLAMP, _softplus_
 from .reference import maxlog_segment_slopes
 
 VDD_DEFAULT = 1.6  # supply rail, volts
@@ -52,6 +62,9 @@ R_SPAN_DEFAULT = 5.0
 _SNR_REF_DB = 10.0
 
 _GAIN_EPS = 1e-12
+
+# Softplus arguments past +-37 take a shortcut in cell_output_v.
+_SOFTPLUS_EDGE = 37.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,34 @@ def _hinge_drive(vin: np.ndarray, cell: CellSpec) -> np.ndarray:
     return vin - cell.vref
 
 
+def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
+    """``_softplus_`` of a monotone 1-d float array, in place, bit for bit.
+
+    Two bisections find the ends where x <= -37 and x >= 37; the first
+    becomes exp(max(x, -700)), the second stays as it is, and only the
+    band between them takes ``_softplus_``.
+    """
+    key = operator.neg if x.size and x[0] > x[-1] else None  # descending: search -x
+    i = bisect.bisect_right(x, -_SOFTPLUS_EDGE, key=key)
+    j = bisect.bisect_left(x, _SOFTPLUS_EDGE, key=key)
+    low = x[j:] if key else x[:i]
+    np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
+    np.exp(low, out=low)
+    _softplus_(x[i:j])
+    return x
+
+
+def _ascending(v: np.ndarray) -> bool:
+    return bool(np.all(v[1:] >= v[:-1]))
+
+
+def _unsort(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Values computed at v[order], put back at the positions of v."""
+    out = np.empty_like(y)
+    out[order] = y
+    return out
+
+
 def cell_output_v(vin, cell: CellSpec, *, check_finite: bool = True):
     """Signed contribution of one cell, in output volts.
 
@@ -99,38 +140,58 @@ def cell_output_v(vin, cell: CellSpec, *, check_finite: bool = True):
         y = gain * eps * softplus(u / eps)
         y = isat_v - gain * eps * softplus((isat_v - y) / (gain * eps))
 
-    softplus(x) = max(x, 0) + log1p(exp(-min(|x|, 700))) is computed in
-    place in the drive buffer.  The clamp matters here: at the 1 mV BJT
-    knee both arguments reach several hundred to over a thousand on
-    Monte Carlo observations, where an unclamped exp(-|x|) would take
-    numpy's subnormal and underflow path, about 30 times slower per
-    value.  Past the clamp the log1p term is below 1e-304, far under
-    one ulp of the output.  ``check_finite=False`` skips the finiteness
-    scan for a caller that has already made it.
+    softplus(x) = max(x, 0) + log1p(exp(-min(|x|, 700))); the clamp
+    keeps np.exp off its subnormal path, about 30 times slower per
+    value, where the 1 mV BJT knee drives |x| past a thousand.
+
+    Most arguments lie where float64 makes that formula trivial.  For
+    x >= 37, log1p(exp(-x)) < 8.6e-17 is under half an ulp of x, so the
+    sum rounds to x.  For x <= -37, t = exp(x) < 2**-53, so log1p(t)
+    rounds to t.  Both corners' arguments are monotone in the input, the
+    turn-on one rising or falling with it and the saturation one the
+    other way, so on ascending input two bisections cut each softplus
+    buffer into three slices (views, no mask or gather):
+
+    - x >= 37 is left as it is;
+    - x <= -37 becomes exp(max(x, -700));
+    - only the band between takes the full formula.
+
+    Every value thus gets exactly the bits of the full formula, and
+    ``tests/test_analog.py`` pins both identities.  They also hold a
+    little inside the edges (from about 33.3 up and from about -36.4
+    down), so if exp or log1p rounding made an argument non-monotone by
+    an ulp, a value at an edge could change slice but not its result.
+    Input that is not ascending is sorted first and the result put back
+    in its order.  ``check_finite=False`` skips the finiteness scan for
+    a caller that has already made it.
     """
     vin_arr = np.asarray(vin, dtype=float)
     if check_finite and not np.all(np.isfinite(vin_arr)):
         raise ValueError("input voltage must be finite")
     scalar = vin_arr.ndim == 0
-    u = _hinge_drive(np.atleast_1d(vin_arr), cell)
+    v = np.atleast_1d(vin_arr)
+    order = None if _ascending(v) else np.argsort(v)
+    u = _hinge_drive(v if order is None else v[order], cell)
     if cell.knee_eps == 0.0:
         y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
     else:
         eps = cell.knee_eps
         eps_v = cell.gain * eps
         u /= eps
-        y = _softplus_(u)
+        y = _softplus_monotone_(u)
         y *= eps_v
         if eps_v > 0.0:
             np.subtract(cell.isat_v, y, out=y)
             y /= eps_v
-            _softplus_(y)
+            _softplus_monotone_(y)
             y *= eps_v
             np.subtract(cell.isat_v, y, out=y)
         else:
             np.minimum(y, cell.isat_v, out=y)
     if cell.polarity == "neg":
         np.negative(y, out=y)
+    if order is not None:
+        y = _unsort(y, order)
     return float(y[0]) if scalar else y
 
 
@@ -258,17 +319,25 @@ class AnalogDemapper:
 
 
 def demap_static(vin, d: AnalogDemapper, k: int):
-    """Static output voltage for bit k: vdd minus the branch difference."""
+    """Static output voltage for bit k: vdd minus the branch difference.
+
+    Input that is not ascending is sorted once here, so every cell
+    (see ``cell_output_v``) works on sorted input.
+    """
     cell_list = d.cells_for_bit(k)
     vin_arr = np.asarray(vin, dtype=float)
     scalar = vin_arr.ndim == 0
     vin_arr = np.atleast_1d(vin_arr)
     if not np.all(np.isfinite(vin_arr)):
         raise ValueError("input voltage must be finite")
-    total = np.zeros_like(vin_arr)
+    order = None if _ascending(vin_arr) else np.argsort(vin_arr)
+    v = vin_arr if order is None else vin_arr[order]
+    out = np.zeros_like(v)
     for cell in cell_list:
-        total += cell_output_v(vin_arr, cell, check_finite=False)
-    out = d.vdd - total
+        out += cell_output_v(v, cell, check_finite=False)
+    np.subtract(d.vdd, out, out=out)
+    if order is not None:
+        out = _unsort(out, order)
     return float(out[0]) if scalar else out
 
 
@@ -342,6 +411,9 @@ def demapper_to_dict(d: AnalogDemapper) -> dict:
 
 
 def demapper_from_dict(data: dict) -> AnalogDemapper:
+    mode = str(data["mode"])
+    if mode not in PRESETS and mode != "custom":
+        raise ValueError(f"unknown mode {mode!r}; expected one of {[*PRESETS, 'custom']}")
     cells = tuple(
         tuple(CellSpec(**cell) for cell in data["cells"][f"b{k}"]) for k in (1, 2, 3)
     )
@@ -354,7 +426,7 @@ def demapper_from_dict(data: dict) -> AnalogDemapper:
         output_scales=tuple(float(x) for x in data["output_scales"]),
         knee_eps=float(data["knee_eps"]),
         isat_v=float(data["isat_v"]),
-        mode=str(data["mode"]),
+        mode=mode,
     )
 
 

@@ -89,9 +89,10 @@ def _softplus_(x: np.ndarray) -> np.ndarray:
 
 def mi_summands(bits, llrs) -> np.ndarray:
     """Per-sample values of log2(1 + exp((-1)^b * L)), overflow-safe."""
-    b = np.asarray(bits)
-    llr = np.asarray(llrs, dtype=float)
-    s = _softplus_(np.where(b == 1, -llr, llr))
+    s = np.multiply(bits, -2.0, dtype=float)
+    s += 1.0  # (-1)^b, so the product below is an exact sign flip
+    s *= llrs
+    _softplus_(s)
     s /= _LN2
     return s
 
@@ -147,30 +148,37 @@ class _Tally:
 def _eval_chunk(llr_fns, bits, r, ref_id):
     tallies = {}
     ref_sym = None
-    order = list(llr_fns)
-    if ref_id in order:  # evaluate the reference first for pairing
-        order.remove(ref_id)
-        order.insert(0, ref_id)
-    for name in order:
+    names = list(llr_fns)
+    if ref_id in names:  # evaluate the reference first for pairing
+        names.remove(ref_id)
+        names.insert(0, ref_id)
+    # Every rule is pointwise in r, so it runs on the sorted observations
+    # (where the analog cells split their softplus regimes by bisection)
+    # and its LLRs go back into draw order, keeping every sum's order.
+    order = np.argsort(r)
+    r_sorted = r[order]
+    llr = np.empty_like(r_sorted)
+    for name in names:
         fn = llr_fns[name]
         t = _Tally()
-        sym_sum = np.zeros(r.size)
+        sym = np.zeros(r.size)  # per-symbol sum, then mean, of the bit summands
         for k in (1, 2, 3):
-            llr = np.asarray(fn(r, k), dtype=float)
+            llr[order] = fn(r_sorted, k)
             s = mi_summands(bits[:, k - 1], llr)
             t.sum_bit[k - 1] = s.sum()
             t.sumsq_bit[k - 1] = (s * s).sum()
-            sym_sum += s
+            sym += s
+            del s  # not alive while the next rule runs
             t.errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
         if not np.isfinite(t.sum_bit).all():
             raise ValueError(f"demapper {name!r}: its LLRs give non-finite information (a NaN, or an inf of the wrong sign)")
-        sym_mean = sym_sum / 3.0
-        t.sum_sym = float(sym_mean.sum())
-        t.sumsq_sym = float((sym_mean * sym_mean).sum())
+        sym /= 3.0
+        t.sum_sym = float(sym.sum())
+        t.sumsq_sym = float((sym * sym).sum())
         if name == ref_id:
-            ref_sym = sym_mean
+            ref_sym = sym
         elif ref_sym is not None:
-            diff = ref_sym - sym_mean  # positive when this demapper loses rate
+            diff = np.subtract(ref_sym, sym, out=sym)  # positive when this demapper loses rate
             t.sum_diff = float(diff.sum())
             t.sumsq_diff = float((diff * diff).sum())
         tallies[name] = t
@@ -192,8 +200,9 @@ def evaluate_demappers(
     """Paired Monte Carlo evaluation of several LLR rules at one SNR.
 
     ``llr_fns`` maps a demapper id to a callable (r_array, k) -> LLR
-    array.  All rules see identical observations.  ``ref_id`` selects
-    the rule against which paired GMI differences are tracked.
+    array that is pointwise in r.  All rules see identical observations,
+    each chunk's in ascending order.  ``ref_id`` selects the rule
+    against which paired GMI differences are tracked.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")

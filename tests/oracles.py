@@ -5,7 +5,9 @@ oracle is a straight transcription without log-sum-exp stabilization
 (only valid where naive exponentials are safe), the max-log oracle is
 an explicit loop, the mutual-information oracle is Gauss-Hermite
 quadrature of the defining expectation, the analog cell oracle is
-the softplus hinge written with np.logaddexp, the settling oracles are
+the softplus hinge written with np.logaddexp, the full-array analog
+oracles are the cell kernel's formula applied to every value, the
+settling oracles are
 the per-symbol and per-step loops, and the CSV oracle is ``csv.writer``
 fed one formatted cell at a time, on row dicts that ``segment_rows``
 expands from segments.
@@ -92,6 +94,36 @@ def logaddexp_demap_static(vin: np.ndarray, d: AnalogDemapper, k: int) -> np.nda
     total = np.zeros_like(vin)
     for cell in d.cells_for_bit(k):
         total += logaddexp_cell_output_v(vin, cell)
+    return d.vdd - total
+
+
+def full_array_softplus(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) + log1p(exp(-min(|x|, 700))) on every value of x."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.minimum(np.abs(x), 700.0)))
+
+
+def full_array_cell_output_v(vin, cell: CellSpec):
+    """Cell output with the full softplus formula on every value, in input order."""
+    v = np.atleast_1d(np.asarray(vin, dtype=float))
+    u = v - cell.vref if cell.orientation == "ramp_above" else cell.vref - v
+    if cell.knee_eps == 0.0:
+        y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
+    else:
+        eps_v = cell.gain * cell.knee_eps
+        y = full_array_softplus(u / cell.knee_eps) * eps_v
+        if eps_v > 0.0:
+            y = cell.isat_v - full_array_softplus((cell.isat_v - y) / eps_v) * eps_v
+        else:
+            y = np.minimum(y, cell.isat_v)
+    return -y if cell.polarity == "neg" else y
+
+
+def full_array_demap_static(vin, d: AnalogDemapper, k: int) -> np.ndarray:
+    """Static output of bit k summed over ``full_array_cell_output_v``."""
+    v = np.atleast_1d(np.asarray(vin, dtype=float))
+    total = np.zeros_like(v)
+    for cell in d.cells_for_bit(k):
+        total += full_array_cell_output_v(v, cell)
     return d.vdd - total
 
 

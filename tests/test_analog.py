@@ -15,11 +15,18 @@ from demapsim.analog import (
     synthesize_cells,
 )
 from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
-from demapsim.channel import from_snr_db
+from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import maxlog_llr, maxlog_segment_slopes
 
-from oracles import brute_maxlog_llr, logaddexp_cell_output_v, logaddexp_demap_static
+from oracles import (
+    brute_maxlog_llr,
+    full_array_cell_output_v,
+    full_array_demap_static,
+    full_array_softplus,
+    logaddexp_cell_output_v,
+    logaddexp_demap_static,
+)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +362,108 @@ class TestSoftplusKernel:
             demap_static(np.array([0.3, np.inf]), dm, 3)
 
 
+def _softplus_args(vin, cell: CellSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two softplus arguments of a smooth cell, as the kernel forms them."""
+    u = vin - cell.vref if cell.orientation == "ramp_above" else cell.vref - vin
+    eps_v = cell.gain * cell.knee_eps
+    x = u / cell.knee_eps
+    return x, (cell.isat_v - eps_v * full_array_softplus(x)) / eps_v
+
+
+def _edge_points(cell: CellSpec, ulps: int = 4) -> np.ndarray:
+    """The ``ulps`` floats on each side of every input where one of the
+    cell's softplus arguments crosses -37 or +37 (found by bisection
+    down to adjacent floats)."""
+    points = []
+    for arg in (0, 1):
+        for edge in (-37.0, 37.0):
+            def above(v):
+                return bool(_softplus_args(np.array([v]), cell)[arg][0] >= edge)
+            lo, hi = cell.vref - 10.0, cell.vref + 10.0
+            if above(lo) == above(hi):
+                continue  # this argument never reaches the edge
+            while np.nextafter(lo, hi) != hi:
+                mid = 0.5 * (lo + hi)
+                if above(mid) == above(lo):
+                    lo = mid
+                else:
+                    hi = mid
+            for v, step in ((lo, -np.inf), (hi, np.inf)):
+                for _ in range(ulps):
+                    points.append(v)
+                    v = np.nextafter(v, step)
+    return np.array(points)
+
+
+class TestSortedRegimeKernel:
+    """The sliced softplus kernel gives the full-array formula's bits."""
+
+    @pytest.fixture(scope="class", params=["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
+    def dm(self, request, c, imap):
+        return build_demapper(c, imap, request.param)
+
+    @staticmethod
+    def assert_same_bits(vin, d):
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(demap_static(vin, d, k), full_array_demap_static(vin, d, k))
+            for cell in d.cells_for_bit(k):
+                np.testing.assert_array_equal(cell_output_v(vin, cell), full_array_cell_output_v(vin, cell))
+
+    @pytest.mark.parametrize("snr_db", [-2.0, 7.0, 16.0])
+    @pytest.mark.parametrize("order", ["shuffled", "sorted", "descending"])
+    def test_monte_carlo_inputs(self, dm, c, imap, snr_db, order):
+        _, r = draw(c, from_snr_db(snr_db), 12345, 0, 0, 8192)
+        r = {"shuffled": r, "sorted": np.sort(r), "descending": np.sort(r)[::-1]}[order]
+        self.assert_same_bits(imap(r), dm)
+
+    def test_points_at_the_regime_edges(self, dm):
+        for k in (1, 2, 3):
+            cells = dm.cells_for_bit(k)
+            for cell in cells:
+                vin = _edge_points(cell)
+                assert vin.size == 4 * 8  # both arguments cross both edges
+                np.testing.assert_array_equal(cell_output_v(vin, cell), full_array_cell_output_v(vin, cell))
+                shuffled = np.random.default_rng(1).permutation(vin)
+                np.testing.assert_array_equal(cell_output_v(shuffled, cell), full_array_cell_output_v(shuffled, cell))
+            vin = np.concatenate([_edge_points(cell) for cell in cells])
+            np.testing.assert_array_equal(demap_static(vin, dm, k), full_array_demap_static(vin, dm, k))
+
+    def test_far_tails(self, dm, imap):
+        r = np.concatenate([np.linspace(-1e3, 1e3, 20001), [-1e3, 1e3]])
+        self.assert_same_bits(imap(r), dm)
+        self.assert_same_bits(imap(np.random.default_rng(2).permutation(r)), dm)
+
+    def test_ideal_hinges(self, c, imap, dm):
+        ideal = build_demapper(c, imap, dm.mode, knee_eps=0.0)
+        _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 4096)
+        self.assert_same_bits(imap(r), ideal)
+        self.assert_same_bits(imap(np.sort(r)), ideal)
+
+    def test_scalars(self, dm, imap):
+        for r in (-1e3, -7.0, -0.3, 0.0, 2.5, 7.0, 1e3):
+            v = float(imap(r))
+            for k in (1, 2, 3):
+                out = demap_static(v, dm, k)
+                assert isinstance(out, float) and out == full_array_demap_static(v, dm, k)[0]
+                for cell in dm.cells_for_bit(k):
+                    y = cell_output_v(v, cell)
+                    assert isinstance(y, float) and y == full_array_cell_output_v(v, cell)[0]
+
+
+class TestSoftplusIdentities:
+    """The float64 facts the kernel's slices rely on; a numpy whose exp
+    or log1p rounds differently fails here rather than drifting."""
+
+    def test_large_argument_rounds_to_itself(self):
+        x = np.linspace(37.0, 1e4, 2_000_001)
+        np.testing.assert_array_equal(x + np.log1p(np.exp(-x)), x)
+
+    def test_small_argument_rounds_to_exp(self):
+        x = np.linspace(-745.0, -37.0, 2_000_001)
+        t = np.exp(x)
+        np.testing.assert_array_equal(np.log1p(t), t)
+
+
 class TestDemapperLifecycle:
     def test_cell_counts(self, c, imap):
         dm = build_demapper(c, imap, "analog-mosfet")
@@ -374,6 +483,14 @@ class TestDemapperLifecycle:
     def test_dict_round_trip(self, c, imap):
         dm = build_demapper(c, imap, "analog-bjt")
         assert demapper_from_dict(demapper_to_dict(dm)) == dm
+
+    def test_unknown_mode_rejected_on_load(self, c, imap, tmp_path):
+        data = demapper_to_dict(build_demapper(c, imap, "analog-bjt"))
+        data["mode"] = "bjt"  # a file saved before the modes took their demapper ids
+        with pytest.raises(ValueError, match="'bjt'"):
+            demapper_from_dict(data)
+        data["mode"] = "custom"
+        assert demapper_from_dict(data).mode == "custom"
 
     def test_unknown_mode_rejected(self, c, imap):
         for mode in ("nmos", "bjt", "mosfet"):
