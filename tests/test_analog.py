@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from demapsim.analog import (
     AnalogDemapper,
@@ -429,7 +430,7 @@ class TestSortedRegimeKernel:
             np.testing.assert_array_equal(demap_static(vin, dm, k), full_array_demap_static(vin, dm, k))
 
     def test_far_tails(self, dm, imap):
-        r = np.concatenate([np.linspace(-1e3, 1e3, 20001), [-1e3, 1e3]])
+        r = np.concatenate([np.linspace(-1e3, 1e3, 20001), [-1e3, 1e3]])  # ends repeated: ties
         self.assert_same_bits(imap(r), dm)
         self.assert_same_bits(imap(np.random.default_rng(2).permutation(r)), dm)
 
@@ -489,6 +490,10 @@ class TestDemapperLifecycle:
         data["mode"] = "bjt"  # a file saved before the modes took their demapper ids
         with pytest.raises(ValueError, match="'bjt'"):
             demapper_from_dict(data)
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        with pytest.raises(ValueError, match="'bjt'"):
+            load_demapper(path)
         data["mode"] = "custom"
         assert demapper_from_dict(data).mode == "custom"
 
