@@ -18,13 +18,8 @@ leave their zero-output state on an upward input step are the ones
 guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
 
-The smooth cells' cost is their two softplus corners.  Most Monte
-Carlo arguments lie beyond +-37, where float64 rounds softplus(x) to x
-or to exp(x).  On ascending input each corner's argument is monotone,
-so ``cell_output_v`` finds those ends by bisection and skips their
-transcendental work, bit for bit.  ``demap_static`` and
-``cell_output_v`` sort input that is not ascending and answer in the
-caller's order.
+Sorted input lets the softplus corners skip their float64-trivial
+regimes bit for bit; ``cell_output_v`` gives the argument.
 """
 
 from __future__ import annotations
@@ -101,12 +96,7 @@ def _hinge_drive(vin: np.ndarray, cell: CellSpec) -> np.ndarray:
 
 
 def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
-    """``_softplus_`` of a monotone 1-d float array, in place, bit for bit.
-
-    Two bisections find the ends where x <= -37 and x >= 37; the first
-    becomes exp(max(x, -700)), the second stays as it is, and only the
-    band between them takes ``_softplus_``.
-    """
+    """``_softplus_`` of a monotone 1-d float array, in place, bit for bit (see ``cell_output_v``)."""
     key = operator.neg if x.size and x[0] > x[-1] else None  # descending: search -x
     i = bisect.bisect_right(x, -_SOFTPLUS_EDGE, key=key)
     j = bisect.bisect_left(x, _SOFTPLUS_EDGE, key=key)

@@ -15,6 +15,7 @@ import copy
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -312,10 +313,14 @@ def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
     field maps either to a 1-d float array, one cell per row, or to one
     value shared by all of the segment's rows (a missing field is None).
     Its arrays have one length, the segment's row count; a segment with
-    no array is one row, so a plain row dict is a one-row segment.
+    no array is one row, so a plain row dict is a one-row segment.  An
+    array object written more than once is formatted once, so a repeated
+    column should be one object, as ``run_llr_curves``'s ``vin_v`` is.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    uses = Counter(id(v) for s in segments for v in map(s.get, fieldnames) if isinstance(v, np.ndarray))
+    shared = {}  # id -> cells of an array written more than once
     with open(path, "w", newline="") as fh:
         # the header is a one-row segment of the field names
         for segment in (dict(zip(fieldnames, fieldnames)), *segments):
@@ -324,7 +329,10 @@ def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
             if any(a.shape != (n,) for a in arrays):
                 raise ValueError(f"segment arrays must be 1-d of one length, got shapes {[a.shape for a in arrays]}")
             columns = [
-                map(float.__repr__, v.tolist()) if isinstance(v, np.ndarray) else repeat(_csv_cell(v), n)
+                repeat(_csv_cell(v), n) if not isinstance(v, np.ndarray)
+                else map(float.__repr__, v.tolist()) if uses[id(v)] < 2
+                else shared[id(v)] if id(v) in shared
+                else shared.setdefault(id(v), list(map(float.__repr__, v.tolist())))
                 for v in map(segment.get, fieldnames)
             ]
             lines = map(",".join, zip(*columns)) if columns else repeat("", n)

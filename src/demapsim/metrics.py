@@ -115,8 +115,8 @@ def energy_per_bit(power_w: float, symbol_rate: float, bits_per_symbol: int) -> 
 class DemapperEvaluation:
     gmi_est: GmiEstimate
     ber_est: BerEstimate
-    # paired per-symbol statistics of (this gmi summand - reference gmi
-    # summand); mean/3 is the GMI gain over the reference
+    # paired mean and std error of gmi(this) - gmi(reference), from the
+    # per-symbol (reference summand - this summand); negative on a loss
     gmi_minus_ref: float | None = None
     gmi_minus_ref_se: float | None = None
 
@@ -178,7 +178,7 @@ def _eval_chunk(llr_fns, bits, r, ref_id):
         if name == ref_id:
             ref_sym = sym
         elif ref_sym is not None:
-            diff = np.subtract(ref_sym, sym, out=sym)  # positive when this demapper loses rate
+            diff = np.subtract(ref_sym, sym, out=sym)  # negative when this demapper loses rate
             t.sum_diff = float(diff.sum())
             t.sumsq_diff = float((diff * diff).sum())
         tallies[name] = t

@@ -440,3 +440,56 @@ class TestWriteCsv:
     def test_bad_array_shapes_rejected(self, tmp_path, segment):
         with pytest.raises(ValueError, match="1-d of one length"):
             write_csv(tmp_path / "bad.csv", ["a", "b"], [{"a": 1.0}, segment])
+
+    class CountingArray(np.ndarray):
+        """A float array that counts its ``tolist`` calls: one per formatting of its cells."""
+
+        def tolist(self):
+            self.tolist_calls = getattr(self, "tolist_calls", 0) + 1
+            return super().tolist()
+
+    def shared_array_table(self, case):
+        x = np.array(self.EDGE_FLOATS)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        x32 = np.float32(0.1) + x.astype(np.float32)
+        empty = np.array([])
+        return {
+            "one array in many segments": (
+                ["k", "vin_v", "llr"],
+                [{"k": k, "vin_v": grid, "llr": np.sin(k * grid)} for k in range(40)],
+            ),
+            "one array in two fields": (["a", "b", "c"], [{"a": x, "b": -x, "c": x}, {"a": x, "b": x}]),
+            "shared float32 array": (["x", "y"], [{"x": x32, "y": x}, {"x": x32, "y": 2.0 * x}]),
+            "shared zero-length array": (
+                ["x", "s"],
+                [{"x": empty, "s": "gone"}, {"s": "row"}, {"x": empty, "s": "also gone"}, {"x": x, "s": "kept"}],
+            ),
+            "shared beside unshared": (
+                ["shared", "own", "name"],
+                [{"shared": x, "own": x[::-1].copy(), "name": "a"}, {"shared": x, "own": x * 3.0, "name": "b,c"}],
+            ),
+        }[case]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "one array in many segments",
+            "one array in two fields",
+            "shared float32 array",
+            "shared zero-length array",
+            "shared beside unshared",
+        ],
+    )
+    def test_shared_arrays(self, tmp_path, case):
+        fieldnames, segments = self.shared_array_table(case)
+        self.assert_same_segment_bytes(tmp_path, fieldnames, segments)
+
+    def test_each_shared_array_formatted_once(self, tmp_path):
+        grid = np.linspace(0.0, 1.0, 101).view(self.CountingArray)
+        r = (2.0 * grid.view(np.ndarray)).view(self.CountingArray)
+        own = [np.full(101, float(k)).view(self.CountingArray) for k in range(12)]
+        segments = [{"k": k, "vin_v": grid, "r": r, "llr": own[k], "again": grid} for k in range(12)]
+        self.assert_same_segment_bytes(tmp_path, ["k", "vin_v", "r", "llr", "again"], segments)
+        assert grid.tolist_calls == 1
+        assert r.tolist_calls == 1
+        assert [a.tolist_calls for a in own] == [1] * 12

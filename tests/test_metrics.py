@@ -156,6 +156,20 @@ class TestPairedEvaluation:
             ml = evals["maxlog"]
             assert ml.gmi_minus_ref < 2 * ml.gmi_minus_ref_se
 
+    def test_gmi_minus_ref_is_the_gmi_difference(self, c):
+        p = from_snr_db(3.0)
+        evals = evaluate_demappers(
+            {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)},
+            c,
+            p,
+            100_000,
+            23,
+            ref_id="exact",
+        )
+        ml = evals["maxlog"]
+        assert ml.gmi_minus_ref == pytest.approx(ml.gmi_est.gmi - evals["exact"].gmi_est.gmi, rel=0, abs=1e-12)
+        assert ml.gmi_minus_ref < -5 * ml.gmi_minus_ref_se < 0  # max-log loses rate
+
     def test_worker_count_does_not_change_results(self, c):
         p = from_snr_db(5.0)
         fns = {
