@@ -18,8 +18,8 @@ leave their zero-output state on an upward input step are the ones
 guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
 
-Sorted input lets the softplus corners skip their float64-trivial
-regimes bit for bit; ``cell_output_v`` gives the argument.
+Ascending input lets the cells skip their float64-trivial softplus
+regimes bit for bit (see ``cell_output_v``); only ``demap_static`` sorts.
 """
 
 from __future__ import annotations
@@ -107,18 +107,21 @@ def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ascending(v: np.ndarray) -> bool:
-    return bool(np.all(v[1:] >= v[:-1]))
+def _ascending_finite(v: np.ndarray) -> bool:
+    """Whether the 1-d array v is ascending; ValueError on a non-finite value.
+
+    A NaN breaks the order test and an inf can only be an end value of
+    ascending input, so there the two end values decide finiteness.
+    """
+    if v.ndim > 1:
+        raise ValueError(f"input voltage must be a scalar or a 1-d array, got shape {v.shape}")
+    ascending = bool(np.all(v[1:] >= v[:-1]))
+    if not np.all(np.isfinite(v[[0, -1]] if ascending and v.size else v)):
+        raise ValueError("input voltage must be finite")
+    return ascending
 
 
-def _unsort(y: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Values computed at v[order], put back at the positions of v."""
-    out = np.empty_like(y)
-    out[order] = y
-    return out
-
-
-def cell_output_v(vin, cell: CellSpec, *, check_finite: bool = True):
+def cell_output_v(vin, cell: CellSpec):
     """Signed contribution of one cell, in output volts.
 
     Ideal form (knee_eps = 0): min(gain * max(u, 0), isat_v) with u the
@@ -151,37 +154,33 @@ def cell_output_v(vin, cell: CellSpec, *, check_finite: bool = True):
     little inside the edges (from about 33.3 up and from about -36.4
     down), so if exp or log1p rounding made an argument non-monotone by
     an ulp, a value at an edge could change slice but not its result.
-    Input that is not ascending is sorted first and the result put back
-    in its order.  ``check_finite=False`` skips the finiteness scan for
-    a caller that has already made it.
+    A cell never sorts: input that is not ascending takes the full
+    formula on every value (``metrics._softplus_``), which gives the
+    same bits.  ``demap_static`` sorts its input once for all its cells.
     """
     vin_arr = np.asarray(vin, dtype=float)
-    if check_finite and not np.all(np.isfinite(vin_arr)):
-        raise ValueError("input voltage must be finite")
     scalar = vin_arr.ndim == 0
     v = np.atleast_1d(vin_arr)
-    order = None if _ascending(v) else np.argsort(v)
-    u = _hinge_drive(v if order is None else v[order], cell)
+    softplus = _softplus_monotone_ if _ascending_finite(v) else _softplus_
+    u = _hinge_drive(v, cell)
     if cell.knee_eps == 0.0:
         y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
     else:
         eps = cell.knee_eps
         eps_v = cell.gain * eps
         u /= eps
-        y = _softplus_monotone_(u)
+        y = softplus(u)
         y *= eps_v
         if eps_v > 0.0:
             np.subtract(cell.isat_v, y, out=y)
             y /= eps_v
-            _softplus_monotone_(y)
+            softplus(y)
             y *= eps_v
             np.subtract(cell.isat_v, y, out=y)
         else:
             np.minimum(y, cell.isat_v, out=y)
     if cell.polarity == "neg":
         np.negative(y, out=y)
-    if order is not None:
-        y = _unsort(y, order)
     return float(y[0]) if scalar else y
 
 
@@ -311,23 +310,22 @@ class AnalogDemapper:
 def demap_static(vin, d: AnalogDemapper, k: int):
     """Static output voltage for bit k: vdd minus the branch difference.
 
-    Input that is not ascending is sorted once here, so every cell
-    (see ``cell_output_v``) works on sorted input.
+    The one analog function that sorts: input that is not ascending is
+    sorted once for all the bit's cells, so each takes its sliced kernel
+    (see ``cell_output_v``), and the sum is put back in input order.
     """
-    cell_list = d.cells_for_bit(k)
     vin_arr = np.asarray(vin, dtype=float)
     scalar = vin_arr.ndim == 0
-    vin_arr = np.atleast_1d(vin_arr)
-    if not np.all(np.isfinite(vin_arr)):
-        raise ValueError("input voltage must be finite")
-    order = None if _ascending(vin_arr) else np.argsort(vin_arr)
-    v = vin_arr if order is None else vin_arr[order]
+    v = np.atleast_1d(vin_arr)
+    order = None if _ascending_finite(v) else np.argsort(v)
+    if order is not None:
+        v = v[order]
     out = np.zeros_like(v)
-    for cell in cell_list:
-        out += cell_output_v(v, cell, check_finite=False)
+    for cell in d.cells_for_bit(k):
+        out += cell_output_v(v, cell)
     np.subtract(d.vdd, out, out=out)
     if order is not None:
-        out = _unsort(out, order)
+        out[order] = out.copy()
     return float(out[0]) if scalar else out
 
 

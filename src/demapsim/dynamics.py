@@ -226,11 +226,13 @@ def ber_vs_rate(
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
             vin = d.input_map(r)
+            order = np.argsort(vin)  # one sort for all bits; the targets go back to symbol order
+            vin_sorted = vin[order]
+            targets = np.empty_like(vin)
             errors = 0
             for k in (1, 2, 3):
-                cells = d.cells_for_bit(k)
-                targets = demap_static(vin, d, k)
-                flags = _exit_flags(vin, cells)
+                targets[order] = demap_static(vin_sorted, d, k)
+                flags = _exit_flags(vin, d.cells_for_bit(k))
                 v_s = sampled_outputs(vin, targets, flags, rate, dp)
                 llr = output_maps[k](v_s)
                 errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])

@@ -148,22 +148,13 @@ class _Tally:
 def _eval_chunk(llr_fns, bits, r, ref_id):
     tallies = {}
     ref_sym = None
-    names = list(llr_fns)
-    if ref_id in names:  # evaluate the reference first for pairing
-        names.remove(ref_id)
-        names.insert(0, ref_id)
-    # Every rule is pointwise in r, so it runs on the sorted observations
-    # (where the analog cells split their softplus regimes by bisection)
-    # and its LLRs go back into draw order, keeping every sum's order.
-    order = np.argsort(r)
-    r_sorted = r[order]
-    llr = np.empty_like(r_sorted)
+    names = sorted(llr_fns, key=lambda name: name != ref_id)  # the reference first, for pairing
     for name in names:
         fn = llr_fns[name]
         t = _Tally()
         sym = np.zeros(r.size)  # per-symbol sum, then mean, of the bit summands
         for k in (1, 2, 3):
-            llr[order] = fn(r_sorted, k)
+            llr = fn(r, k)
             s = mi_summands(bits[:, k - 1], llr)
             t.sum_bit[k - 1] = s.sum()
             t.sumsq_bit[k - 1] = (s * s).sum()
@@ -206,9 +197,17 @@ def evaluate_demappers(
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
+    if ref_id is not None and ref_id not in llr_fns:
+        raise ValueError(f"ref_id {ref_id!r} is not among the demapper ids {list(llr_fns)}")
 
     def job(i, n):
         bits, r = channel.draw(c, params, seed, stream, i, n)
+        # rules are pointwise in r: the chunk is evaluated and summed in ascending
+        # r, and rebinding frees the draw-order arrays before any rule runs
+        order = np.argsort(r)
+        r = r[order]
+        bits = bits[order]
+        del order
         return _eval_chunk(llr_fns, bits, r, ref_id)
 
     totals = {name: _Tally() for name in llr_fns}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -359,8 +361,29 @@ class TestSoftplusKernel:
     def test_non_finite_input_rejected(self, dm):
         with pytest.raises(ValueError, match="finite"):
             demap_static(float("nan"), dm, 1)
-        with pytest.raises(ValueError, match="finite"):
-            demap_static(np.array([0.3, np.inf]), dm, 3)
+        cell = dm.cells_for_bit(3)[0]
+        # the last three are ascending but for the bad value, which only
+        # the two end values or the order test can reveal
+        for vin in ([0.3, np.inf], [0.1, 0.2, 0.3, np.inf], [-np.inf, 0.1, 0.2, 0.3], [0.1, 0.2, np.nan, 0.3]):
+            with pytest.raises(ValueError, match="finite"):
+                demap_static(np.array(vin), dm, 3)
+            with pytest.raises(ValueError, match="finite"):
+                cell_output_v(np.array(vin), cell)
+
+    def test_empty_input_gives_empty_output(self, dm):
+        cell = dm.cells_for_bit(1)[0]
+        for out in (demap_static(np.array([]), dm, 1), cell_output_v(np.array([]), cell)):
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_multidimensional_input_rejected(self, dm, vin):
+        cell = dm.cells_for_bit(2)[0]
+        # ascending rows, descending rows, and a 3-d shape
+        for grid in (vin[:6].reshape(2, 3), vin[:6][::-1].reshape(2, 3), np.zeros((1, 1, 2))):
+            match = "1-d array, got shape " + re.escape(str(grid.shape))
+            with pytest.raises(ValueError, match=match):
+                demap_static(grid, dm, 2)
+            with pytest.raises(ValueError, match=match):
+                cell_output_v(grid, cell)
 
 
 def _softplus_args(vin, cell: CellSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@
 ``TRACED`` table by name, so a renamed or deleted function would
 silently drop out of the benchmark's per-layer figures.  The file is
 loaded by its path, so a bare ``pytest`` needs no ``perfbench`` import.
+The nesting of the analog layers is checked too: ``demap_static`` must
+reach each cell through the ``cell_output_v`` module attribute.
 """
 
 import importlib
@@ -11,6 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,3 +33,28 @@ def test_traced_binding_is_callable(mod_name, attr):
     for part in attr.split("."):  # "Class.method" names a method
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_demap_static_calls_cell_output_v_once_per_cell(monkeypatch):
+    # the tracer times analog.cell_output_v as its own layer under
+    # analog.demap_static; an inlined cell loop would drop that layer
+    from demapsim import analog
+    from demapsim.calibration import input_map
+    from demapsim.constellation import build_pam8
+
+    c = build_pam8()
+    d = analog.build_demapper(c, input_map(c, 0.04, 0.60), "analog-mosfet")
+    calls = []
+    original = analog.cell_output_v
+
+    def counting(vin, cell):
+        calls.append(cell)
+        return original(vin, cell)
+
+    monkeypatch.setattr(analog, "cell_output_v", counting)
+    vin = np.linspace(d.vin_min, d.vin_max, 101)
+    for k in (1, 2, 3):
+        calls.clear()
+        for v in (vin, vin[::-1], float(vin[50])):
+            analog.demap_static(v, d, k)
+        assert calls == 3 * list(d.cells_for_bit(k))

@@ -170,6 +170,13 @@ class TestPairedEvaluation:
         assert ml.gmi_minus_ref == pytest.approx(ml.gmi_est.gmi - evals["exact"].gmi_est.gmi, rel=0, abs=1e-12)
         assert ml.gmi_minus_ref < -5 * ml.gmi_minus_ref_se < 0  # max-log loses rate
 
+    def test_missing_reference_rejected(self, c):
+        # before this check every mode reported a paired difference of 0.0 +- 0.0
+        p = from_snr_db(5.0)
+        fns = {"maxlog": lambda r, k: maxlog_llr(r, k, c, p), "const": lambda r, k: np.zeros(r.size)}
+        with pytest.raises(ValueError, match=r"'exact' is not among the demapper ids \['maxlog', 'const'\]"):
+            evaluate_demappers(fns, c, p, 1000, 9, ref_id="exact")
+
     def test_worker_count_does_not_change_results(self, c):
         p = from_snr_db(5.0)
         fns = {
