@@ -202,8 +202,8 @@ def evaluate_demappers(
 
     def job(i, n):
         bits, r = channel.draw(c, params, seed, stream, i, n)
-        # rules are pointwise in r: the chunk is evaluated and summed in ascending
-        # r, and rebinding frees the draw-order arrays before any rule runs
+        # rules are pointwise in r, so the chunk is evaluated and summed in ascending
+        # r; its draw-order arrays and the permutation are freed before any rule runs
         order = np.argsort(r)
         r = r[order]
         bits = bits[order]

@@ -171,7 +171,7 @@ class TestPairedEvaluation:
         assert ml.gmi_minus_ref < -5 * ml.gmi_minus_ref_se < 0  # max-log loses rate
 
     def test_missing_reference_rejected(self, c):
-        # before this check every mode reported a paired difference of 0.0 +- 0.0
+        # unchecked, every paired difference would silently stay 0.0 +- 0.0
         p = from_snr_db(5.0)
         fns = {"maxlog": lambda r, k: maxlog_llr(r, k, c, p), "const": lambda r, k: np.zeros(r.size)}
         with pytest.raises(ValueError, match=r"'exact' is not among the demapper ids \['maxlog', 'const'\]"):
