@@ -19,7 +19,8 @@ guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
 
 Ascending input lets the cells skip their float64-trivial softplus
-regimes bit for bit (see ``cell_output_v``); only ``demap_static`` sorts.
+regimes bit for bit (see ``cell_output_v``).  Nothing here sorts; the
+chunk jobs of ``metrics.evaluate_demappers`` and ``dynamics.ber_vs_rate`` do.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def cell_output_v(vin, cell: CellSpec):
     an ulp, a value at an edge could change slice but not its result.
     A cell never sorts: input that is not ascending takes the full
     formula on every value (``metrics._softplus_``), which gives the
-    same bits.  ``demap_static`` sorts its input once for all its cells.
+    same bits.
     """
     vin_arr = np.asarray(vin, dtype=float)
     scalar = vin_arr.ndim == 0
@@ -310,23 +311,13 @@ class AnalogDemapper:
 def demap_static(vin, d: AnalogDemapper, k: int):
     """Static output voltage for bit k: vdd minus the branch difference.
 
-    The one analog function that sorts: input that is not ascending is
-    sorted once for all the bit's cells, so each takes its sliced kernel
-    (see ``cell_output_v``), and the sum is put back in input order.
+    Does not sort: ascending input is every cell's fast path (see
+    ``cell_output_v``); other input gives the same bits more slowly.
     """
-    vin_arr = np.asarray(vin, dtype=float)
-    scalar = vin_arr.ndim == 0
-    v = np.atleast_1d(vin_arr)
-    order = None if _ascending_finite(v) else np.argsort(v)
-    if order is not None:
-        v = v[order]
-    out = np.zeros_like(v)
+    out = 0.0
     for cell in d.cells_for_bit(k):
-        out += cell_output_v(v, cell)
-    np.subtract(d.vdd, out, out=out)
-    if order is not None:
-        out[order] = out.copy()
-    return float(out[0]) if scalar else out
+        out += cell_output_v(vin, cell)
+    return d.vdd - out
 
 
 def build_demapper(

@@ -78,7 +78,6 @@ DEFAULT_CONFIG: dict = {
     "dynamics": {
         "tau_s": TAU_DEFAULT,
         "t_plateau_bjt_s": T_PLATEAU_BJT,
-        "samples_per_symbol": 16,
         "sample_fraction": SAMPLE_FRACTION_DEFAULT,
     },
     "transitions": {
@@ -205,8 +204,7 @@ def validate_config(cfg: dict, experiment: str) -> dict:
     _require_number(dyn.get("t_plateau_bjt_s"), "dynamics.t_plateau_bjt_s", 0.0, inclusive=True)
     tr = _require_mapping(cfg.get("transitions"), "transitions")
     _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
-    for block, field in ((dyn, "dynamics"), (tr, "transitions")):
-        _require_int(block.get("samples_per_symbol"), f"{field}.samples_per_symbol", 2)
+    _require_int(tr.get("samples_per_symbol"), "transitions.samples_per_symbol", 2)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
     _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
     _require_number(dem.get("r_span"), "demapper.r_span", 0.0)
@@ -372,15 +370,16 @@ TRACE_FIELDS = [
 ]
 
 
-def _dynamics_params(cfg: dict, demapper: AnalogDemapper, samples_per_symbol: int) -> DynamicsParams:
-    """Settling parameters of ``demapper`` from the ``dynamics`` block."""
+def _dynamics_params(cfg: dict, demapper: AnalogDemapper, **kwargs) -> DynamicsParams:
+    """Settling parameters of ``demapper`` from the ``dynamics`` block,
+    plus ``kwargs`` (the sample count of a ``transitions`` trace)."""
     dyn = cfg["dynamics"]
     return DynamicsParams.for_mode(
         demapper.mode,
         tau=float(dyn["tau_s"]),
         t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
-        samples_per_symbol=samples_per_symbol,
         sample_fraction=float(dyn["sample_fraction"]),
+        **kwargs,
     )
 
 
@@ -499,7 +498,7 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
     )
 
     for mode_id, demapper in bench.demappers.items():
-        dp = _dynamics_params(cfg, demapper, int(cfg["dynamics"]["samples_per_symbol"]))
+        dp = _dynamics_params(cfg, demapper)
         sweep = ber_vs_rate(
             rates,
             snr_db,
@@ -530,10 +529,9 @@ def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
     }
     tr_cfg = cfg["transitions"]
     rate = float(tr_cfg["symbol_rate_sps"])
-    sps = int(tr_cfg["samples_per_symbol"])
     segments = []
     for mode_id, demapper in bench.demappers.items():
-        dp = _dynamics_params(cfg, demapper, sps)
+        dp = _dynamics_params(cfg, demapper, samples_per_symbol=int(tr_cfg["samples_per_symbol"]))
         for name, (r_a, r_b) in transitions.items():
             traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)]
             segments.append(

@@ -121,59 +121,45 @@ class DemapperEvaluation:
     gmi_minus_ref_se: float | None = None
 
 
-@dataclass
-class _Tally:
-    sum_bit: np.ndarray = None
-    sumsq_bit: np.ndarray = None
-    sum_sym: float = 0.0
-    sumsq_sym: float = 0.0
-    errors: int = 0
-    sum_diff: float = 0.0
-    sumsq_diff: float = 0.0
-
-    def __post_init__(self):
-        self.sum_bit = np.zeros(3)
-        self.sumsq_bit = np.zeros(3)
-
-    def add(self, other: "_Tally") -> None:
-        self.sum_bit += other.sum_bit
-        self.sumsq_bit += other.sumsq_bit
-        self.sum_sym += other.sum_sym
-        self.sumsq_sym += other.sumsq_sym
-        self.errors += other.errors
-        self.sum_diff += other.sum_diff
-        self.sumsq_diff += other.sumsq_diff
-
-
 def _eval_chunk(llr_fns, bits, r, ref_id):
-    tallies = {}
+    """Each rule's sums over one chunk, one float64 array per rule:
+    [0:5] the sums and [5:10] the sums of squares of, in order, the
+    three bit summands, their per-symbol mean, and the paired difference
+    ref - this of that mean (0 for the reference); [10] the bit errors.
+    """
+    sums = {}
     ref_sym = None
     names = sorted(llr_fns, key=lambda name: name != ref_id)  # the reference first, for pairing
     for name in names:
         fn = llr_fns[name]
-        t = _Tally()
+        t = sums[name] = np.zeros(11)
         sym = np.zeros(r.size)  # per-symbol sum, then mean, of the bit summands
         for k in (1, 2, 3):
             llr = fn(r, k)
             s = mi_summands(bits[:, k - 1], llr)
-            t.sum_bit[k - 1] = s.sum()
-            t.sumsq_bit[k - 1] = (s * s).sum()
+            t[k - 1] = s.sum()
+            t[k + 4] = (s * s).sum()
             sym += s
             del s  # not alive while the next rule runs
-            t.errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
-        if not np.isfinite(t.sum_bit).all():
+            t[10] += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
+        if not np.isfinite(t[:3]).all():
             raise ValueError(f"demapper {name!r}: its LLRs give non-finite information (a NaN, or an inf of the wrong sign)")
         sym /= 3.0
-        t.sum_sym = float(sym.sum())
-        t.sumsq_sym = float((sym * sym).sum())
+        t[3] = sym.sum()
+        t[8] = (sym * sym).sum()
         if name == ref_id:
             ref_sym = sym
         elif ref_sym is not None:
             diff = np.subtract(ref_sym, sym, out=sym)  # negative when this demapper loses rate
-            t.sum_diff = float(diff.sum())
-            t.sumsq_diff = float((diff * diff).sum())
-        tallies[name] = t
-    return tallies
+            t[4] = diff.sum()
+            t[9] = (diff * diff).sum()
+    return sums
+
+
+def _mean_se(total, total_sq, n):
+    """Mean and standard error of the mean from a sum and a sum of squares over n."""
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
 
 
 def evaluate_demappers(
@@ -193,7 +179,10 @@ def evaluate_demappers(
     ``llr_fns`` maps a demapper id to a callable (r_array, k) -> LLR
     array that is pointwise in r.  All rules see identical observations,
     each chunk's in ascending order.  ``ref_id`` selects the rule
-    against which paired GMI differences are tracked.
+    against which paired GMI differences are tracked.  Each chunk job
+    sorts its draw and returns one array of sums per rule (layout in
+    ``_eval_chunk``); the arrays are added in chunk order, and every
+    mean and standard error comes from them through ``_mean_se``.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
@@ -210,37 +199,29 @@ def evaluate_demappers(
         del order
         return _eval_chunk(llr_fns, bits, r, ref_id)
 
-    totals = {name: _Tally() for name in llr_fns}
+    totals = dict.fromkeys(llr_fns, 0.0)
     for result in channel.map_chunks(job, n_symbols, chunk_size, n_workers):
         for name, t in result.items():
-            totals[name].add(t)
+            totals[name] += t
 
     out = {}
     n = n_symbols
     for name, t in totals.items():
-        mi_bit = 1.0 - t.sum_bit / n
-        var_bit = np.maximum(t.sumsq_bit / n - (t.sum_bit / n) ** 2, 0.0)
-        se_bit = np.sqrt(var_bit / n)
-        mean_sym = t.sum_sym / n
-        var_sym = max(t.sumsq_sym / n - mean_sym * mean_sym, 0.0)
-        se_sym = math.sqrt(var_sym / n)
-        per_bit = tuple(float(x) for x in mi_bit)
+        mean, se = _mean_se(t[:5], t[5:10], n)
+        per_bit = tuple(float(1.0 - x) for x in mean[:3])
         est = GmiEstimate(
             per_bit_mi=per_bit,
             gmi=sum(per_bit) / 3.0,
-            std_error=se_sym,
+            std_error=float(se[3]),
             n_samples=n,
-            per_bit_se=tuple(float(x) for x in se_bit),
+            per_bit_se=tuple(float(x) for x in se[:3]),
         )
-        ber = BerEstimate(errors=t.errors, bits=3 * n)
-        diff = diff_se = None
-        if ref_id is not None and name != ref_id:
-            # gmi(this) - gmi(ref) = E[ref summand] - E[this summand]
-            mean_diff = t.sum_diff / n
-            var_diff = max(t.sumsq_diff / n - mean_diff * mean_diff, 0.0)
-            diff = mean_diff
-            diff_se = math.sqrt(var_diff / n)
+        ber = BerEstimate(errors=int(t[10]), bits=3 * n)
+        paired = ref_id is not None and name != ref_id  # gmi(this) - gmi(ref) = E[ref summand] - E[this summand]
         out[name] = DemapperEvaluation(
-            gmi_est=est, ber_est=ber, gmi_minus_ref=diff, gmi_minus_ref_se=diff_se
+            gmi_est=est,
+            ber_est=ber,
+            gmi_minus_ref=float(mean[4]) if paired else None,
+            gmi_minus_ref_se=float(se[4]) if paired else None,
         )
     return out

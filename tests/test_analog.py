@@ -77,6 +77,18 @@ class TestCellOutput:
             ramp_below(gain=-1.0)
         with pytest.raises(ValueError):
             CellSpec(vref=0.3, gain=1.0, isat_v=1.0, knee_eps=0.0, polarity="up", orientation="ramp_below")
+        with pytest.raises(ValueError, match="orientation must be"):
+            CellSpec(vref=0.3, gain=1.0, isat_v=1.0, knee_eps=0.0, polarity="pos", orientation="sideways")
+
+    @pytest.mark.parametrize("pol", ["pos", "neg"])
+    def test_zero_gain_soft_knee_outputs_zero(self, pol):
+        # gain * knee_eps == 0: the saturation corner is skipped, and the
+        # output is exactly 0 on ascending, descending and scalar input
+        cell = ramp_below(gain=0.0, knee=1e-3, pol=pol)
+        v = np.linspace(-1.0, 1.0, 41)
+        np.testing.assert_array_equal(cell_output_v(v, cell), 0.0)
+        np.testing.assert_array_equal(cell_output_v(v[::-1], cell), 0.0)
+        assert cell_output_v(0.2, cell) == 0.0
 
     def test_smoothing_error_linear_in_knee(self):
         # deviation from the ideal hinge is bounded by C * knee_eps; fit
@@ -223,6 +235,28 @@ class TestSynthesis:
                 assert got.gain == pytest.approx(want.gain, rel=1e-15, abs=0.0)
                 assert got.isat_v == pytest.approx(want.isat_v, rel=1e-15, abs=0.0)
             assert syn.output_scale == pytest.approx(base.output_scale / factor, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slopes_rejected(self, bad):
+        with pytest.raises(ValueError, match="slopes must be finite"):
+            synthesize_cells([0.3], [0.0, bad], 1.6, 0.0, vin_min=-0.5, vin_max=1.0)
+
+    @pytest.mark.parametrize("slope,polarity", [(2.0, "pos"), (-2.0, "neg")])
+    def test_no_breakpoints_gives_one_upward_ramp(self, slope, polarity):
+        # one straight segment: a single ramp from vin_min that saturates at vin_max
+        syn = synthesize_cells([], [slope], 1.6, 0.0, vin_min=0.0, vin_max=1.0, isat_v=0.3)
+        assert len(syn.cells) == 1
+        cell = syn.cells[0]
+        assert (cell.vref, cell.orientation, cell.polarity) == (0.0, "ramp_above", polarity)
+        assert cell.isat_v == pytest.approx(0.3, rel=1e-15)
+        v = np.array([0.0, 0.25, 1.0])
+        np.testing.assert_allclose(ideal_total(v, syn), syn.output_scale * slope * v, atol=1e-15)
+
+    @pytest.mark.parametrize("breakpoints,slopes", [([], [0.0]), ([0.3, 0.6], [0.0, 0.0, 0.0])])
+    def test_flat_target_gives_no_cells(self, breakpoints, slopes):
+        syn = synthesize_cells(breakpoints, slopes, 1.6, 0.0, vin_min=0.0, vin_max=1.0)
+        assert syn.cells == ()
+        assert syn.output_scale == 1.0
 
     def test_breakpoint_outside_range_rejected(self):
         with pytest.raises(ValueError, match="inside the input range"):
@@ -531,6 +565,15 @@ class TestDemapperLifecycle:
         wide = input_map(c, 0.04, 0.70)
         with pytest.raises(ValueError, match="input cap"):
             build_demapper(c, wide, "analog-mosfet")
+
+    def test_bad_input_range_rejected(self, imap):
+        kw = dict(input_map=imap, cells=((ramp_below(vref=0.3),),) * 3, output_scales=(1.0,) * 3, knee_eps=0.0, isat_v=0.3)
+        for vin_min, vin_max in ((0.5, 0.5), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="vin_max must exceed vin_min"):
+                AnalogDemapper(vdd=1.6, vin_min=vin_min, vin_max=vin_max, **kw)
+        for vin_min, vin_max in ((0.4, 1.0), (0.0, 0.2)):
+            with pytest.raises(ValueError, match="cell vref 0.3 outside input range"):
+                AnalogDemapper(vdd=1.6, vin_min=vin_min, vin_max=vin_max, **kw)
 
     def test_empty_bit_position_rejected(self, imap):
         with pytest.raises(ValueError, match="no cells"):

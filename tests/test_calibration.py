@@ -3,6 +3,7 @@ import pytest
 
 from demapsim.analog import build_demapper, demap_static
 from demapsim.calibration import (
+    AffineMap,
     calibration_grid,
     fit_output_map,
     fit_residual_rms,
@@ -38,6 +39,10 @@ class TestInputMap:
     def test_round_trip(self, c, imap):
         r = np.linspace(-2, 2, 11)
         np.testing.assert_allclose(imap.inverse(imap(r)), r, atol=1e-12)
+
+    def test_zero_scale_not_invertible(self):
+        with pytest.raises(ValueError, match="not invertible"):
+            AffineMap(scale=0.0, offset=0.32).inverse(0.5)
 
     def test_degenerate_range_rejected(self, c):
         with pytest.raises(ValueError):
@@ -115,6 +120,12 @@ class TestOutputFit:
         grid = np.linspace(-2, 2, 101)
         with pytest.raises(ValueError, match="rank deficient"):
             fit_output_map(1, np.full_like(grid, 1.6), exact_llr(grid, 1, c, p), grid)
+
+    def test_shape_mismatch_rejected(self):
+        grid = np.linspace(-2, 2, 11)
+        for vout, ref in ((grid[:-1], grid), (grid, grid[:-1]), (grid[:, None], grid)):
+            with pytest.raises(ValueError, match="match the grid shape"):
+                fit_output_map(1, vout, ref, grid)
 
     def test_tiny_grid_rejected(self, c):
         with pytest.raises(ValueError):

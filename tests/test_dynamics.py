@@ -170,6 +170,15 @@ class TestTransient:
         with pytest.raises(ValueError):
             simulate_transient([], 1e8, bjt, 1, bjt_params())
 
+    @pytest.mark.parametrize("rate", [0.0, -1e8])
+    def test_non_positive_rate_rejected(self, c, bjt, rate):
+        with pytest.raises(ValueError, match="symbol rate must be positive"):
+            simulate_transient([0.0, c.d], rate, bjt, 1, bjt_params())
+
+    def test_trace_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            dynamics.TransientTrace(time=np.zeros(3), vout=np.zeros(2))
+
 
 class TestBerVsRate:
     SNR = 10.0

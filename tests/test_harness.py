@@ -11,6 +11,7 @@ from demapsim.harness import (
     LLR_FIELDS,
     METRIC_FIELDS,
     SWEEP_FIELDS,
+    Workbench,
     load_config,
     run_experiment,
     run_llr_curves,
@@ -62,6 +63,11 @@ class TestConfigValidation:
             ("seed", -1, "seed: must be an integer of at least 0"),
             ("out", 5, "out: 5"),
             ("input_window_v", [0.04, 0.7], "input_window_v: 0.7 must be at most 0.64"),
+            ("input_window_v", [0.04], r"input_window_v: must be \[vmin, vmax\]"),
+            ("ber_snr_db", float("inf"), "ber_snr_db: inf is not finite"),
+            ("snr_db", [0.0, float("nan")], "snr_db: nan is not finite"),
+            ("dynamics", 5, "dynamics: must be a mapping"),
+            ("demapper", {"vdd": 1.6, "r_span": 5.0, "analog-bjt": None}, "demapper.analog-bjt: must be a mapping"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -86,6 +92,7 @@ class TestConfigValidation:
             ("demapper.snr_ref_db", 10.0),
             ("transitions.rate_sps", 1e8),
             ("dynamics.sample_fraction", 1.5),
+            ("dynamics.samples_per_symbol", 16),
         ],
     )
     def test_nested_field_errors_name_the_dotted_path(self, path, value):
@@ -115,6 +122,25 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown id"):
             validate_config(small_config(), "eye-diagram")
+        with pytest.raises(ConfigError, match="experiment: unknown id 'eye-diagram'"):
+            run_experiment("eye-diagram", small_config())
+
+    def test_empty_config_file_gives_the_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert load_config(path) == load_config()
+
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", "42\n", "just text\n"])
+    def test_config_file_top_level_must_be_a_mapping(self, tmp_path, text):
+        path = tmp_path / "list.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="top level must be a mapping"):
+            load_config(path)
+
+    def test_calibrate_without_analog_modes(self):
+        bench = Workbench.from_config(small_config(modes=["exact", "maxlog"]))
+        assert bench.demappers == {}
+        assert bench.calibrate(10.0) == {}
 
     def test_config_file_merge(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -317,6 +343,33 @@ class TestCli:
         result = CliRunner().invoke(main, [experiment, flag, value, "--out", str(out)])
         assert result.exit_code != 0
         assert flag in result.output
+        assert not out.exists()
+
+    def test_one_snr_sets_ber_snr_db(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("rates_sps: [1.0e8]\nmodes: [analog-mosfet]\n")
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main,
+            ["ber-vs-rate", "--config", str(cfg_path), "--samples", "1000", "--snr-db", "5", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["config"]["ber_snr_db"] == 5.0
+        assert meta["snr_db"] == 5.0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(["rate-penalty", "--snr-db", "1,x"], "expected comma-separated numbers, got '1,x'", id="not-a-number"),
+            pytest.param(["ber-vs-rate", "--snr-db", "1,2"], "ber-vs-rate takes a single --snr-db value", id="two-ber-snrs"),
+        ],
+    )
+    def test_bad_snr_list_rejected(self, tmp_path, args, message):
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code != 0
+        assert message in result.output
         assert not out.exists()
 
 

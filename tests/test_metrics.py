@@ -121,6 +121,11 @@ class TestEstimateTypes:
         with pytest.raises(ValueError):
             GmiEstimate(per_bit_mi=(0.5, 0.5, 0.5), gmi=0.9, std_error=0.01, n_samples=10)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_count_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            GmiEstimate(per_bit_mi=(0.5, 0.5, 0.5), gmi=0.5, std_error=0.01, n_samples=n)
+
     def test_ber_counts_validated(self):
         with pytest.raises(ValueError):
             BerEstimate(errors=5, bits=3)
@@ -176,6 +181,38 @@ class TestPairedEvaluation:
         fns = {"maxlog": lambda r, k: maxlog_llr(r, k, c, p), "const": lambda r, k: np.zeros(r.size)}
         with pytest.raises(ValueError, match=r"'exact' is not among the demapper ids \['maxlog', 'const'\]"):
             evaluate_demappers(fns, c, p, 1000, 9, ref_id="exact")
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_estimates_match_a_direct_computation(self, c, n_workers):
+        # three chunks, the last one short, against the pooled draws of those chunks
+        p = from_snr_db(4.0)
+        n, seed = 2_500, 5
+        fns = {
+            "exact": lambda r, k: exact_llr(r, k, c, p),
+            "maxlog": lambda r, k: maxlog_llr(r, k, c, p),
+            "const": lambda r, k: np.full(r.size, 0.3),
+        }
+        evals = evaluate_demappers(fns, c, p, n, seed, ref_id="exact", n_workers=n_workers, chunk_size=1_000)
+        draws = [draw(c, p, seed, 0, i, size) for i, size in enumerate((1_000, 1_000, 500))]
+        bits = np.concatenate([b for b, _ in draws])
+        r = np.concatenate([r for _, r in draws])
+        summands = {name: np.stack([mi_summands(bits[:, k - 1], fn(r, k)) for k in (1, 2, 3)]) for name, fn in fns.items()}
+        ref_sym = summands["exact"].mean(axis=0)
+        for name, fn in fns.items():
+            ev = evals[name]
+            s = summands[name]
+            sym = s.mean(axis=0)
+            np.testing.assert_allclose(ev.gmi_est.per_bit_mi, 1.0 - s.mean(axis=1), rtol=1e-9, atol=0)
+            np.testing.assert_allclose(ev.gmi_est.per_bit_se, s.std(axis=1) / np.sqrt(n), rtol=1e-9, atol=0)
+            assert ev.gmi_est.gmi == pytest.approx(1.0 - sym.mean(), rel=1e-9, abs=0)
+            assert ev.gmi_est.std_error == pytest.approx(sym.std() / np.sqrt(n), rel=1e-9, abs=0)
+            assert ev.ber_est.errors == sum(np.count_nonzero((fn(r, k) >= 0.0) != bits[:, k - 1]) for k in (1, 2, 3))
+            if name == "exact":
+                assert ev.gmi_minus_ref is None and ev.gmi_minus_ref_se is None
+            else:
+                diff = ref_sym - sym
+                assert ev.gmi_minus_ref == pytest.approx(diff.mean(), rel=1e-9, abs=0)
+                assert ev.gmi_minus_ref_se == pytest.approx(diff.std() / np.sqrt(n), rel=1e-9, abs=0)
 
     def test_worker_count_does_not_change_results(self, c):
         p = from_snr_db(5.0)
