@@ -132,7 +132,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("text", ["- 1\n- 2\n", "42\n", "just text\n"])
     def test_config_file_top_level_must_be_a_mapping(self, tmp_path, text):
-        path = tmp_path / "list.yaml"
+        path = tmp_path / "cfg.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError, match="top level must be a mapping"):
             load_config(path)
