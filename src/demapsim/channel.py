@@ -32,11 +32,15 @@ class ChannelParams:
 
 
 def from_snr_db(snr_db: float) -> ChannelParams:
-    """Noise standard deviation from SNR = 1 / (2 sigma^2) in dB."""
+    """Noise standard deviation from SNR = 1 / (2 sigma^2) in dB; ValueError
+    unless it is finite and positive, as over- or underflow can make it."""
     snr_db = float(snr_db)
-    if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
-    sigma = float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0))))
+    try:
+        sigma = float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"{snr_db} dB is out of range: the noise sigma it gives is not finite and positive")
     return ChannelParams(snr_db=snr_db, sigma=sigma)
 
 

@@ -114,17 +114,11 @@ def simulate_transient(
     return TransientTrace(time=time, vout=vout)
 
 
-def sampled_outputs(
-    vin_seq: np.ndarray,
-    targets: np.ndarray,
-    flags: np.ndarray,
-    symbol_rate: float,
-    dp: DynamicsParams,
-) -> np.ndarray:
+def sampled_outputs(targets: np.ndarray, flags: np.ndarray, symbol_rate: float, dp: DynamicsParams) -> np.ndarray:
     """Output voltage at the sampling instant of every symbol.
 
     The one-instant case of the engine behind ``simulate_transient``,
-    at ``sample_fraction`` of each symbol.  ``vin_seq`` is not read.
+    at ``sample_fraction`` of each symbol.
     """
     times = np.array([dp.sample_fraction * (1.0 / symbol_rate)])
     return _settle(targets, flags, symbol_rate, dp, times)[:, 0]
@@ -195,56 +189,63 @@ def _affine_scan_(a: np.ndarray, b: np.ndarray) -> None:
 def ber_vs_rate(
     rates,
     snr_db: float,
-    d: AnalogDemapper,
-    output_maps: dict,
-    dp: DynamicsParams,
+    sweeps: dict,
     n_symbols: int,
     seed: int,
     c: Constellation,
     *,
     stream: int = 0,
     n_workers: int = 1,
-) -> list[dict]:
-    """Hard-decision BER of the settling demapper at each symbol rate.
+) -> dict[str, list[dict]]:
+    """Hard-decision BER of settling demappers at each symbol rate.
 
-    Symbols are drawn uniformly, one noise value per symbol (held over
-    the symbol period), pushed through the transient model, sampled at
+    ``sweeps`` maps a demapper id to ``(demapper, output_maps,
+    DynamicsParams)``; the result maps it to one row per rate.  Symbols
+    are drawn uniformly, one noise value per symbol (held over the
+    symbol period), pushed through the transient model, sampled at
     ``sample_fraction`` of the period, mapped to LLRs with the per-SNR
     output maps, and sliced by sign.  Each chunk of
     ``SETTLED_CHUNK_SYMBOLS`` symbols is an independent settled sequence
     with its own stream, so results do not depend on the worker count.
+    Every demapper sees the same draw of a (rate, chunk), sorted once
+    by r (paired sampling, as in ``metrics.evaluate_demappers``).
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
     params = channel.from_snr_db(snr_db)
 
-    rows = []
+    rows = {mode_id: [] for mode_id in sweeps}
     for rate_index, rate in enumerate(rates):
         if not rate > 0:
             raise ValueError(f"symbol rates must be positive, got {rate}")
 
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
-            vin = d.input_map(r)
-            order = np.argsort(vin)  # one sort for all bits; the targets go back to symbol order
-            vin_sorted = vin[order]
-            targets = np.empty_like(vin)
-            errors = 0
-            for k in (1, 2, 3):
-                targets[order] = demap_static(vin_sorted, d, k)
-                flags = _exit_flags(vin, d.cells_for_bit(k))
-                v_s = sampled_outputs(vin, targets, flags, rate, dp)
-                llr = output_maps[k](v_s)
-                errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
-            return errors
+            order = np.argsort(r)  # one sort for every demapper and bit
+            return [_chunk_errors(bits, r, order, rate, *sweep) for sweep in sweeps.values()]
 
-        total_errors = int(sum(channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers)))
-        rows.append(
-            {
-                "rate_sps": float(rate),
-                "errors": total_errors,
-                "bits": 3 * n_symbols,
-                "ber": total_errors / (3 * n_symbols),
-            }
-        )
+        per_chunk = channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers)
+        for mode_rows, errors in zip(rows.values(), map(sum, zip(*per_chunk))):
+            mode_rows.append(
+                {"rate_sps": float(rate), "errors": errors, "bits": 3 * n_symbols, "ber": errors / (3 * n_symbols)}
+            )
     return rows
+
+
+def _chunk_errors(bits, r, order, rate: float, d: AnalogDemapper, output_maps: dict, dp: DynamicsParams) -> int:
+    """Bit errors of one demapper on a chunk, given the order that sorts r.
+
+    An input map has positive scale, so ``vin[order]`` is ascending too;
+    the targets go back to symbol order.  Returning frees this
+    demapper's arrays before the next one runs.
+    """
+    vin = d.input_map(r)
+    vin_sorted = vin[order]
+    targets = np.empty_like(vin)
+    errors = 0
+    for k in (1, 2, 3):
+        targets[order] = demap_static(vin_sorted, d, k)
+        flags = _exit_flags(vin, d.cells_for_bit(k))
+        llr = output_maps[k](sampled_outputs(targets, flags, rate, dp))
+        errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
+    return errors

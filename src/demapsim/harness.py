@@ -193,11 +193,16 @@ def validate_config(cfg: dict, experiment: str) -> dict:
         raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
     _require_number(vmax, "input_window_v", maximum=VIN_HARD_MAX)  # the analog input cap
 
-    _require_number_list(cfg, "snr_db")
-    _require_number_list(cfg, "llr_snr_db")
+    snrs = {key: _require_number_list(cfg, key) for key in ("snr_db", "llr_snr_db")}
+    snrs["ber_snr_db"] = [_require_number(cfg.get("ber_snr_db"), "ber_snr_db")]
+    for key, values in snrs.items():
+        for snr_db in values:
+            try:
+                from_snr_db(snr_db)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     _require_int(cfg.get("llr_grid_points"), "llr_grid_points", 2)
     _require_number_list(cfg, "rates_sps", minimum=0.0)
-    _require_number(cfg.get("ber_snr_db"), "ber_snr_db")
     dyn = _require_mapping(cfg.get("dynamics"), "dynamics")
     _require_number(dyn.get("tau_s"), "dynamics.tau_s", 0.0)
     _require_number(dyn.get("sample_fraction"), "dynamics.sample_fraction", 0.0, maximum=1.0)
@@ -207,7 +212,8 @@ def validate_config(cfg: dict, experiment: str) -> dict:
     _require_int(tr.get("samples_per_symbol"), "transitions.samples_per_symbol", 2)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
     _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
-    _require_number(dem.get("r_span"), "demapper.r_span", 0.0)
+    # the synthesis range, +-r_span, must hold every max-log kink; the outermost is at 6d
+    _require_number(dem.get("r_span"), "demapper.r_span", max(float(s[0][-1]) for s in build_pam8().maxlog_segments))
     for mode_id in PRESETS:
         cell = _require_mapping(dem.get(mode_id), f"demapper.{mode_id}")
         _require_number(cell.get("knee_eps_v"), f"demapper.{mode_id}.knee_eps_v", 0.0, inclusive=True)
@@ -497,22 +503,10 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
         }
     )
 
-    for mode_id, demapper in bench.demappers.items():
-        dp = _dynamics_params(cfg, demapper)
-        sweep = ber_vs_rate(
-            rates,
-            snr_db,
-            demapper,
-            output_maps[mode_id],
-            dp,
-            cfg["n_symbols"],
-            seed,
-            bench.c,
-            stream=0,
-            n_workers=cfg["n_workers"],
-        )
-        for entry in sweep:
-            rows.append({**entry, "demapper_id": mode_id, "seed": seed})
+    sweeps = {mode_id: (d, output_maps[mode_id], _dynamics_params(cfg, d)) for mode_id, d in bench.demappers.items()}
+    sweep = ber_vs_rate(rates, snr_db, sweeps, cfg["n_symbols"], seed, bench.c, n_workers=cfg["n_workers"])
+    for mode_id, entries in sweep.items():
+        rows += [{**entry, "demapper_id": mode_id, "seed": seed} for entry in entries]
     return rows, {"snr_db": snr_db, **bench.meta({snr_db: output_maps})}
 
 

@@ -127,12 +127,12 @@ def full_array_demap_static(vin, d: AnalogDemapper, k: int) -> np.ndarray:
     return d.vdd - total
 
 
-def loop_sampled_outputs(vin_seq, targets, flags, symbol_rate: float, dp) -> np.ndarray:
+def loop_sampled_outputs(targets, flags, symbol_rate: float, dp) -> np.ndarray:
     """Sampled settling outputs by an explicit per-symbol loop."""
     period = 1.0 / symbol_rate
     ts = dp.sample_fraction * period
     tau = dp.tau
-    n = vin_seq.size
+    n = targets.size
     out = np.empty(n)
     v_b = float(targets[0])
     out[0] = v_b

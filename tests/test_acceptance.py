@@ -234,8 +234,8 @@ def test_criterion_08_transient_shapes(c, imap, mosfet, bjt):
     rates = [5e7, 1e8, 1.5e8, 2e8, 2.5e8, 3e8, 3.5e8, 4e8, 4.5e8, 5e8]
     _, maps_m = analog_llr_fns(mosfet, c, snr)
     _, maps_b = analog_llr_fns(bjt, c, snr)
-    sweep_m = ber_vs_rate(rates, snr, mosfet, maps_m, dp_mos, n_symbols, SEED, c, stream=0)
-    sweep_b = ber_vs_rate(rates, snr, bjt, maps_b, dp_bjt, n_symbols, SEED, c, stream=50)
+    sweep_m = ber_vs_rate(rates, snr, {"m": (mosfet, maps_m, dp_mos)}, n_symbols, SEED, c, stream=0)["m"]
+    sweep_b = ber_vs_rate(rates, snr, {"b": (bjt, maps_b, dp_bjt)}, n_symbols, SEED, c, stream=50)["b"]
 
     analog_fn, _ = analog_llr_fns(mosfet, c, snr)
     static_m = evaluate_demappers(

@@ -5,7 +5,9 @@
 silently drop out of the benchmark's per-layer figures.  The file is
 loaded by its path, so a bare ``pytest`` needs no ``perfbench`` import.
 The nesting of the analog layers is checked too: ``demap_static`` must
-reach each cell through the ``cell_output_v`` module attribute.
+reach each cell through the ``cell_output_v`` module attribute.  So is
+what the ``dynamics.sampled_outputs.symbols`` count reads: the size of
+the first argument, one value per symbol of a settling chunk.
 """
 
 import importlib
@@ -58,3 +60,31 @@ def test_demap_static_calls_cell_output_v_once_per_cell(monkeypatch):
         for v in (vin, vin[::-1], float(vin[50])):
             analog.demap_static(v, d, k)
         assert calls == 3 * list(d.cells_for_bit(k))
+
+
+def test_ber_vs_rate_calls_sampled_outputs_once_per_mode_bit_and_chunk(monkeypatch):
+    # the tracer counts dynamics.sampled_outputs.symbols as np.size(args[0]),
+    # so its first argument must hold one value per symbol of the chunk
+    from demapsim import analog, dynamics
+    from demapsim.calibration import AffineMap, input_map
+    from demapsim.constellation import build_pam8
+
+    c = build_pam8()
+    imap = input_map(c, 0.04, 0.60)
+    maps = {k: AffineMap(scale=1.0, offset=-1.0) for k in (1, 2, 3)}
+    sweeps = {
+        mode: (analog.build_demapper(c, imap, mode), maps, dynamics.DynamicsParams.for_mode(mode))
+        for mode in ("analog-bjt", "analog-mosfet")
+    }
+    sizes = []
+    original = dynamics.sampled_outputs
+
+    def counting(*args):
+        sizes.append(int(np.size(args[0])))
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "sampled_outputs", counting)
+    n_symbols = dynamics.SETTLED_CHUNK_SYMBOLS + 100  # one full chunk and a short one
+    dynamics.ber_vs_rate([1e8, 3e8], 10.0, sweeps, n_symbols, 1, c)
+    per_chunk = [dynamics.SETTLED_CHUNK_SYMBOLS] * 6 + [100] * 6  # 2 modes x 3 bits per chunk
+    assert sizes == per_chunk * 2  # per rate

@@ -30,6 +30,12 @@ class TestSnrConversion:
         with pytest.raises(ValueError):
             from_snr_db(float("nan"))
 
+    @pytest.mark.parametrize("snr_db", [float("inf"), -float("inf"), 4000.0, 3080.0, -3100.0, -4000.0])
+    def test_sigma_must_be_finite_and_positive(self, snr_db):
+        with pytest.raises(ValueError, match="out of range"):
+            from_snr_db(snr_db)
+        assert 0.0 < from_snr_db(np.sign(snr_db) * 3000.0).sigma < np.inf
+
 
 class TestTransmit:
     def test_deterministic_given_stream(self):

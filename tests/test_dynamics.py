@@ -58,6 +58,11 @@ def output_maps_for(dm, c, imap, snr_db):
     return maps
 
 
+def sweep_one(rates, snr_db, d, maps, dp, *args, **kwargs):
+    """``ber_vs_rate`` rows of one demapper swept alone."""
+    return ber_vs_rate(rates, snr_db, {d.mode: (d, maps, dp)}, *args, **kwargs)[d.mode]
+
+
 class TestParams:
     def test_mode_defaults(self):
         assert bjt_params().t_plateau == pytest.approx(2e-9)
@@ -187,7 +192,7 @@ class TestBerVsRate:
     def test_low_rate_matches_static_exact_ber(self, c, imap, mosfet):
         maps = output_maps_for(mosfet, c, imap, self.SNR)
         p = from_snr_db(self.SNR)
-        rows = ber_vs_rate([1e6], self.SNR, mosfet, maps, mosfet_params(), self.N, 99, c)
+        rows = sweep_one([1e6], self.SNR, mosfet, maps, mosfet_params(), self.N, 99, c)
         static = evaluate_demappers(
             {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, self.N, 99, stream=5
         )["exact"].ber_est
@@ -198,8 +203,8 @@ class TestBerVsRate:
         rates = [1e8, 2e8, 3e8, 4e8, 5e8]
         maps_m = output_maps_for(mosfet, c, imap, self.SNR)
         maps_b = output_maps_for(bjt, c, imap, self.SNR)
-        rows_m = ber_vs_rate(rates, self.SNR, mosfet, maps_m, mosfet_params(), self.N, 4, c)
-        rows_b = ber_vs_rate(rates, self.SNR, bjt, maps_b, bjt_params(), self.N, 4, c)
+        rows_m = sweep_one(rates, self.SNR, mosfet, maps_m, mosfet_params(), self.N, 4, c)
+        rows_b = sweep_one(rates, self.SNR, bjt, maps_b, bjt_params(), self.N, 4, c)
         bers_m = [row["ber"] for row in rows_m]
         se = np.sqrt(bers_m[0] * (1 - bers_m[0]) / (3 * self.N))
         assert max(bers_m) - min(bers_m) < 4 * se
@@ -210,8 +215,8 @@ class TestBerVsRate:
 
     def test_worker_invariance(self, c, imap, bjt):
         maps = output_maps_for(bjt, c, imap, self.SNR)
-        a = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=1)
-        b = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=3)
+        a = sweep_one([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=1)
+        b = sweep_one([3e8], self.SNR, bjt, maps, bjt_params(), 20_000, 11, c, n_workers=3)
         assert a == b
 
     def test_zero_llr_decides_one(self, c, bjt):
@@ -220,27 +225,42 @@ class TestBerVsRate:
         ones = int(bits.sum())
         for offset, errors in ((0.0, bits.size - ones), (-1e-12, ones)):
             maps = {k: AffineMap(scale=0.0, offset=offset) for k in (1, 2, 3)}
-            (row,) = ber_vs_rate([3e8], self.SNR, bjt, maps, bjt_params(), 2000, 5, c)
+            (row,) = sweep_one([3e8], self.SNR, bjt, maps, bjt_params(), 2000, 5, c)
             assert row["errors"] == errors
 
     def test_invalid_inputs(self, c, imap, bjt):
         maps = output_maps_for(bjt, c, imap, self.SNR)
         with pytest.raises(ValueError):
-            ber_vs_rate([-1.0], self.SNR, bjt, maps, bjt_params(), 1000, 1, c)
+            sweep_one([-1.0], self.SNR, bjt, maps, bjt_params(), 1000, 1, c)
         with pytest.raises(ValueError):
-            ber_vs_rate([1e8], self.SNR, bjt, maps, bjt_params(), 0, 1, c)
+            sweep_one([1e8], self.SNR, bjt, maps, bjt_params(), 0, 1, c)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_joint_sweep_equals_one_mode_sweeps(self, c, imap, bjt, mosfet, n_workers):
+        # the modes share each draw; each one's rows are those of a sweep of it alone
+        rates, stream = [1e8, 4e8], 7
+        sweeps = {
+            "analog-bjt": (bjt, output_maps_for(bjt, c, imap, self.SNR), bjt_params()),
+            "analog-mosfet": (mosfet, output_maps_for(mosfet, c, imap, self.SNR), mosfet_params()),
+        }
+        joint = ber_vs_rate(rates, self.SNR, sweeps, 20_000, 3, c, stream=stream, n_workers=n_workers)
+        assert list(joint) == list(sweeps)
+        for mode_id, (d, maps, dp) in sweeps.items():
+            alone = sweep_one(rates, self.SNR, d, maps, dp, 20_000, 3, c, stream=stream, n_workers=n_workers)
+            assert joint[mode_id] == alone
+            assert [row["rate_sps"] for row in alone] == rates
 
 
 DEFAULT_RATES = [float(x) for x in DEFAULT_CONFIG["rates_sps"]]
 
 
 def settling_inputs(d, k, n, seed, snr_db=10.0):
-    """Noisy random symbols as input voltages, static targets and exit flags."""
+    """Static targets and exit flags of noisy random symbols."""
     c = build_pam8()
     rng = np.random.default_rng(seed)
     r = transmit(c.points[rng.integers(0, c.points.size, n)], from_snr_db(snr_db), rng)
     vin = np.asarray(d.input_map(r), dtype=float)
-    return vin, demap_static(vin, d, k), _exit_flags(vin, d.cells_for_bit(k))
+    return demap_static(vin, d, k), _exit_flags(vin, d.cells_for_bit(k))
 
 
 class TestSampledOutputs:
@@ -248,9 +268,9 @@ class TestSampledOutputs:
 
     ATOL = 1e-14
 
-    def assert_matches_loop(self, vin, targets, flags, rate, dp):
-        got = sampled_outputs(vin, targets, flags, rate, dp)
-        want = loop_sampled_outputs(vin, targets, flags, rate, dp)
+    def assert_matches_loop(self, targets, flags, rate, dp):
+        got = sampled_outputs(targets, flags, rate, dp)
+        want = loop_sampled_outputs(targets, flags, rate, dp)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.ATOL)
 
@@ -260,24 +280,24 @@ class TestSampledOutputs:
         d = build_demapper(c, imap, preset)
         dp = DynamicsParams.for_mode(preset)
         for k in (1, 2, 3):
-            vin, targets, flags = settling_inputs(d, k, 3000, seed=int(rate) % 997 + k)
+            targets, flags = settling_inputs(d, k, 3000, seed=int(rate) % 997 + k)
             if preset == "analog-bjt":
                 assert flags.any()
-            self.assert_matches_loop(vin, targets, flags, rate, dp)
+            self.assert_matches_loop(targets, flags, rate, dp)
 
     def test_period_equal_to_plateau(self, bjt):
         dp = bjt_params()
         assert 1.0 / 5e8 == dp.t_plateau
-        vin, targets, flags = settling_inputs(bjt, 1, 2000, seed=3)
-        self.assert_matches_loop(vin, targets, flags, 5e8, dp)
+        targets, flags = settling_inputs(bjt, 1, 2000, seed=3)
+        self.assert_matches_loop(targets, flags, 5e8, dp)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_shortest_sequences(self, bjt, n):
-        vin, targets, _ = settling_inputs(bjt, 1, n, seed=5)
+        targets, _ = settling_inputs(bjt, 1, n, seed=5)
         for flags in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
             for rate in (1e8, 5e8, 2e9):
-                self.assert_matches_loop(vin, targets, flags, rate, bjt_params())
-        assert sampled_outputs(vin, targets, np.ones(n, dtype=bool), 1e8, bjt_params())[0] == targets[0]
+                self.assert_matches_loop(targets, flags, rate, bjt_params())
+        assert sampled_outputs(targets, np.ones(n, dtype=bool), 1e8, bjt_params())[0] == targets[0]
 
     @pytest.mark.parametrize(
         "pattern",
@@ -285,7 +305,7 @@ class TestSampledOutputs:
     )
     def test_flag_patterns(self, bjt, pattern):
         n = 64
-        vin, targets, _ = settling_inputs(bjt, 2, n, seed=7)
+        targets, _ = settling_inputs(bjt, 2, n, seed=7)
         flags = np.zeros(n, dtype=bool)
         if pattern == "last":
             flags[-1] = True
@@ -294,20 +314,20 @@ class TestSampledOutputs:
         elif pattern == "every-third":
             flags[::3] = True
         for rate in DEFAULT_RATES + [1e9, 2e9]:
-            self.assert_matches_loop(vin, targets, flags, rate, bjt_params())
+            self.assert_matches_loop(targets, flags, rate, bjt_params())
 
     def test_zero_plateau_with_flags(self, bjt):
         dp = bjt_params(t_plateau=0.0)
-        vin, targets, flags = settling_inputs(bjt, 1, 2000, seed=9)
+        targets, flags = settling_inputs(bjt, 1, 2000, seed=9)
         assert flags.any()
         for rate in (5e7, 5e8, 2e9):
-            self.assert_matches_loop(vin, targets, flags, rate, dp)
+            self.assert_matches_loop(targets, flags, rate, dp)
 
     def test_plateau_longer_than_the_sequence(self, bjt):
         dp = bjt_params(t_plateau=1e-6)
-        vin, targets, flags = settling_inputs(bjt, 1, 300, seed=13)
+        targets, flags = settling_inputs(bjt, 1, 300, seed=13)
         for rate in (5e8, 2e9):
-            self.assert_matches_loop(vin, targets, flags, rate, dp)
+            self.assert_matches_loop(targets, flags, rate, dp)
 
     @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("sps, fraction", [(20, 0.95), (16, 0.5), (4, 1.0)])
@@ -325,7 +345,7 @@ class TestSampledOutputs:
             flags = _exit_flags(vin, d.cells_for_bit(k))
             for rate in DEFAULT_RATES + [1e9]:
                 trace = simulate_transient(seq, rate, d, k, dp)
-                got = sampled_outputs(vin, targets, flags, rate, dp)
+                got = sampled_outputs(targets, flags, rate, dp)
                 np.testing.assert_allclose(got, trace.vout[at], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 101, 12345])
@@ -333,10 +353,11 @@ class TestSampledOutputs:
         runs = {}
         for name, fn in (("vectorized", sampled_outputs), ("loop", loop_sampled_outputs)):
             monkeypatch.setattr(dynamics, "sampled_outputs", fn)
-            runs[name] = [
-                ber_vs_rate(DEFAULT_RATES, 10.0, dm, output_maps_for(dm, c, imap, 10.0), dp, 4000, seed, c)
+            sweeps = {
+                dm.mode: (dm, output_maps_for(dm, c, imap, 10.0), dp)
                 for dm, dp in ((bjt, bjt_params()), (mosfet, mosfet_params()))
-            ]
+            }
+            runs[name] = ber_vs_rate(DEFAULT_RATES, 10.0, sweeps, 4000, seed, c)
         assert runs["vectorized"] == runs["loop"]
 
 

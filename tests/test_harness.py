@@ -68,6 +68,11 @@ class TestConfigValidation:
             ("snr_db", [0.0, float("nan")], "snr_db: nan is not finite"),
             ("dynamics", 5, "dynamics: must be a mapping"),
             ("demapper", {"vdd": 1.6, "r_span": 5.0, "analog-bjt": None}, "demapper.analog-bjt: must be a mapping"),
+            # 10**(snr_db/10) overflows, underflows to zero, or gives an infinite sigma
+            ("snr_db", [10.0, 4000.0], "snr_db: 4000.0 dB is out of range"),
+            ("snr_db", [-4000.0], "snr_db: -4000.0 dB is out of range"),
+            ("llr_snr_db", [-3100.0], "llr_snr_db: -3100.0 dB is out of range"),
+            ("ber_snr_db", 4000.0, "ber_snr_db: 4000.0 dB is out of range"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -93,6 +98,7 @@ class TestConfigValidation:
             ("transitions.rate_sps", 1e8),
             ("dynamics.sample_fraction", 1.5),
             ("dynamics.samples_per_symbol", 16),
+            ("demapper.r_span", 0.92),  # inside the outermost max-log kink, 6d
         ],
     )
     def test_nested_field_errors_name_the_dotted_path(self, path, value):
@@ -269,6 +275,23 @@ class TestOutputsAndDeterminism:
         assert any("+3d_to_+7d" in line and "analog-bjt" in line for line in lines)
         assert any("-7d_to_-5d" in line and "analog-mosfet" in line for line in lines)
 
+    def test_ber_vs_rate_draws_each_chunk_once_for_every_mode(self, tmp_path, monkeypatch):
+        # 2 rates x 2 settling chunks for the sweep, shared by both analog
+        # modes, plus one chunk for the static exact row
+        from demapsim import channel
+
+        draws = []
+        original = channel.draw
+
+        def counting(*args):
+            draws.append(args[2:5])  # (seed, stream, chunk index)
+            return original(*args)
+
+        monkeypatch.setattr(channel, "draw", counting)
+        cfg = small_config(modes=["analog-bjt", "analog-mosfet"], n_symbols=20_000, out=str(tmp_path / "p.csv"))
+        run_experiment("ber-vs-rate", cfg)
+        assert sorted(draws) == [(11, 0, 0), (11, 0, 1), (11, 1, 0), (11, 1, 1), (11, 2, 0)]
+
     @pytest.mark.parametrize("experiment", ["ber-vs-rate", "transitions"])
     def test_analog_rows_follow_the_modes_order(self, tmp_path, experiment):
         cfg = small_config(modes=["analog-mosfet", "exact", "analog-bjt"], n_symbols=1000, out=str(tmp_path / "m.csv"))
@@ -327,6 +350,15 @@ class TestCli:
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
         bits = header.index("bits")
         assert {row[bits] for row in rows} == {"6000"}
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000", "-3100"])
+    def test_extreme_snr_is_a_one_line_config_error(self, tmp_path, snr_db):
+        result = CliRunner().invoke(main, ["rate-penalty", f"--snr-db={snr_db}", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a diagnostic, not an uncaught exception
+        assert result.output.splitlines() == [f"Error: snr_db: {float(snr_db)} dB is out of range: "
+                                              "the noise sigma it gives is not finite and positive"]
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
         "experiment, flag, value",
