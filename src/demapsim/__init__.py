@@ -14,8 +14,6 @@ from .analog import (
     build_demapper,
     cell_output_v,
     demap_static,
-    load_demapper,
-    save_demapper,
     synthesize_cells,
 )
 from .calibration import AffineMap, calibration_grid, fit_output_map, input_map
@@ -58,10 +56,8 @@ __all__ = [
     "fit_output_map",
     "from_snr_db",
     "input_map",
-    "load_demapper",
     "maxlog_llr",
     "rate_penalty",
-    "save_demapper",
     "simulate_transient",
     "synthesize_cells",
     "transmit",

@@ -30,7 +30,6 @@ import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import yaml
 
 from .calibration import AffineMap
 from .channel import from_snr_db
@@ -407,13 +406,3 @@ def demapper_from_dict(data: dict) -> AnalogDemapper:
         isat_v=float(data["isat_v"]),
         mode=mode,
     )
-
-
-def save_demapper(d: AnalogDemapper, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(demapper_to_dict(d), fh, sort_keys=False)
-
-
-def load_demapper(path) -> AnalogDemapper:
-    with open(path) as fh:
-        return demapper_from_dict(yaml.safe_load(fh))

@@ -51,7 +51,7 @@ def fit_output_map(k: int, vout_curve, ref_llr, grid: np.ndarray) -> AffineMap:
     over the samples on ``grid``.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.unique(grid).size < 2:
+    if grid.size < 2 or not grid.min() < grid.max():
         raise ValueError("calibration grid needs at least 2 distinct points")
     v = np.asarray(vout_curve, dtype=float)
     ref = np.asarray(ref_llr, dtype=float)

@@ -9,7 +9,6 @@ threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,5 +93,7 @@ def map_chunks(fn, n_total: int, chunk_size: int, n_workers: int) -> list:
     sizes = chunk_sizes(n_total, chunk_size)
     if n_workers <= 1:
         return [fn(i, n) for i, n in enumerate(sizes)]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, range(len(sizes)), sizes))

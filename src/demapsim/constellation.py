@@ -72,7 +72,8 @@ def _class_segments(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, ...]:
     the nearest class-1 point ``b``.
     """
     mids = np.concatenate([(p0[:-1] + p0[1:]) / 2.0, (p1[:-1] + p1[1:]) / 2.0])
-    kinks = np.unique(np.round(mids, 15))
+    kinks = np.sort(np.round(mids, 15))
+    kinks = kinks[np.concatenate([[True], kinks[1:] != kinks[:-1]])]  # np.unique's values, without numpy.ma
     probes = np.concatenate([[kinks[0] - 1.0], (kinks[:-1] + kinks[1:]) / 2.0, [kinks[-1] + 1.0]])
     a = p0[np.argmin((probes[:, None] - p0) ** 2, axis=1)]
     b = p1[np.argmin((probes[:, None] - p1) ** 2, axis=1)]

@@ -21,7 +21,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .analog import (
@@ -101,6 +100,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     """Resolve the configuration: defaults, then file, then overrides."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
+        import yaml  # only a config file needs PyYAML
+
         with open(path) as fh:
             loaded = yaml.safe_load(fh)
         if loaded is None:
@@ -447,7 +448,7 @@ def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
             n_workers=cfg["n_workers"],
             chunk_size=cfg["chunk_size"],
         )
-        gmi_exact = evals["exact"].gmi_est.gmi
+        gmi_exact = evals["exact"].gmi_est.gmi  # its MC estimate can be <= 0 at low SNR: no penalty then
         for mode_id in cfg["modes"]:
             ev = evals[mode_id]
             maps = output_maps.get(mode_id)
@@ -458,7 +459,7 @@ def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
                 "mi_b2": ev.gmi_est.per_bit_mi[1],
                 "mi_b3": ev.gmi_est.per_bit_mi[2],
                 "gmi": ev.gmi_est.gmi,
-                "penalty_pct": rate_penalty(ev.gmi_est.gmi, gmi_exact),
+                "penalty_pct": rate_penalty(ev.gmi_est.gmi, gmi_exact) if gmi_exact > 0 else None,
                 "ber": ev.ber_est.ber,
                 "n_samples": ev.gmi_est.n_samples,
                 "std_err": ev.gmi_est.std_error,

@@ -131,6 +131,11 @@ class TestOutputFit:
         with pytest.raises(ValueError):
             fit_output_map(1, np.array([1.0]), np.array([1.0]), np.array([0.0]))
 
+    def test_grid_of_one_repeated_point_rejected(self):
+        grid = np.full(5, 0.3)
+        with pytest.raises(ValueError, match="at least 2 distinct points"):
+            fit_output_map(1, np.arange(5.0), np.arange(5.0), grid)
+
 
 class TestGridConvergence:
     def test_zero_residual_fit_is_grid_independent(self, c, imap):

@@ -1,10 +1,10 @@
+import concurrent.futures
 import math
 import time
 
 import numpy as np
 import pytest
 
-from demapsim import channel
 from demapsim.channel import chunk_sizes, draw, from_snr_db, map_chunks, transmit, worker_rng
 from demapsim.constellation import build_pam8
 
@@ -121,5 +121,5 @@ class TestMapChunks:
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool opened")
 
-        monkeypatch.setattr(channel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert map_chunks(lambda i, n: n, 10, 4, 1) == [4, 4, 2]

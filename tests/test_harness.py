@@ -252,6 +252,22 @@ class TestOutputsAndDeterminism:
             if row["demapper_id"] == "exact":
                 assert float(row["penalty_pct"]) == 0.0
 
+    def test_non_positive_reference_gmi_leaves_penalty_empty(self, tmp_path):
+        # at -25 dB and seed 1 the exact GMI estimate is slightly negative
+        cfg = small_config(snr_db=[-25.0, 10.0], n_samples=2000, seed=1, out=str(tmp_path / "low.csv"))
+        header, *rows = [line.split(",") for line in run_experiment("rate-penalty", cfg).read_text().splitlines()]
+        rows = [dict(zip(header, row)) for row in rows]
+        low = [row for row in rows if row["snr_db"] == "-25.0"]
+        high = {row["demapper_id"]: row for row in rows if row["snr_db"] == "10.0"}
+        assert len(low) == len(high) == 4
+        assert float(next(row["gmi"] for row in low if row["demapper_id"] == "exact")) <= 0
+        for row in low:
+            empty = {f for f, v in row.items() if v == ""}
+            empty_high = {f for f, v in high[row["demapper_id"]].items() if v == ""}
+            assert "penalty_pct" not in empty_high
+            assert empty == empty_high | {"penalty_pct"}
+            assert np.isfinite(float(high[row["demapper_id"]]["penalty_pct"]))
+
     def test_metadata_contains_calibration_and_demappers(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "c.csv"))
         path = run_experiment("llr-curves", cfg)
@@ -350,6 +366,15 @@ class TestCli:
         header, *rows = [line.split(",") for line in out.read_text().splitlines()]
         bits = header.index("bits")
         assert {row[bits] for row in rows} == {"6000"}
+
+    def test_non_positive_reference_gmi_is_not_an_error(self, tmp_path):
+        out = tmp_path / "low.csv"
+        result = CliRunner().invoke(
+            main, ["rate-penalty", "--snr-db=-25", "--samples", "2000", "--seed", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert [row[header.index("penalty_pct")] for row in rows] == ["", "", "", ""]
 
     @pytest.mark.parametrize("snr_db", ["4000", "-4000", "-3100"])
     def test_extreme_snr_is_a_one_line_config_error(self, tmp_path, snr_db):

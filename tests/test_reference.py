@@ -130,6 +130,13 @@ class TestMaxlogLlr:
             c.maxlog_segments[2][0], c.d * np.array([-4, 0, 4]), atol=1e-14
         )
 
+    def test_kinks_are_the_unique_rounded_midpoints_bit_for_bit(self, c):
+        for k, (p0, p1) in enumerate(c.class_points):
+            mids = np.concatenate([(p0[:-1] + p0[1:]) / 2.0, (p1[:-1] + p1[1:]) / 2.0])
+            kinks, unique = c.maxlog_segments[k][0], np.unique(np.round(mids, 15))
+            assert np.array_equal(kinks, unique)
+            assert kinks.tobytes() == unique.tobytes()  # also tells -0.0 from 0.0
+
     def test_segment_slopes_match_finite_differences(self, c, p10):
         for k in (1, 2, 3):
             bks = c.maxlog_segments[k - 1][0]
