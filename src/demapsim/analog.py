@@ -121,6 +121,11 @@ def _ascending_finite(v: np.ndarray) -> bool:
     return ascending
 
 
+class _Ascending(np.ndarray):
+    """View type of input that ``demap_static`` found ascending and finite:
+    its cells skip the scan, and each cell stays a call of its own."""
+
+
 def cell_output_v(vin, cell: CellSpec):
     """Signed contribution of one cell, in output volts.
 
@@ -156,12 +161,12 @@ def cell_output_v(vin, cell: CellSpec):
     an ulp, a value at an edge could change slice but not its result.
     A cell never sorts: input that is not ascending takes the full
     formula on every value (``metrics._softplus_``), which gives the
-    same bits.
+    same bits.  Input from ``demap_static`` is checked there, once.
     """
-    vin_arr = np.asarray(vin, dtype=float)
+    vin_arr = np.asarray(vin, dtype=float)  # a plain ndarray, also for an _Ascending view
     scalar = vin_arr.ndim == 0
     v = np.atleast_1d(vin_arr)
-    softplus = _softplus_monotone_ if _ascending_finite(v) else _softplus_
+    softplus = _softplus_monotone_ if type(vin) is _Ascending or _ascending_finite(v) else _softplus_
     u = _hinge_drive(v, cell)
     if cell.knee_eps == 0.0:
         y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
@@ -312,9 +317,14 @@ def demap_static(vin, d: AnalogDemapper, k: int):
 
     Does not sort: ascending input is every cell's fast path (see
     ``cell_output_v``); other input gives the same bits more slowly.
+    The order is checked once here, not once per cell.
     """
+    cells = d.cells_for_bit(k)
+    v = np.asarray(vin, dtype=float)
+    if v.ndim == 1 and v.size and _ascending_finite(v):
+        vin = v.view(_Ascending)
     out = 0.0
-    for cell in d.cells_for_bit(k):
+    for cell in cells:
         out += cell_output_v(vin, cell)
     return d.vdd - out
 

@@ -195,7 +195,7 @@ def evaluate_demappers(
         # r; its draw-order arrays and the permutation are freed before any rule runs
         order = np.argsort(r)
         r = r[order]
-        bits = bits[order]
+        bits = np.take(bits.T, order, axis=1).T  # column-major like the draw: each bit contiguous
         del order
         return _eval_chunk(llr_fns, bits, r, ref_id)
 

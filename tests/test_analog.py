@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from demapsim import analog
 from demapsim.analog import (
     AnalogDemapper,
     CellSpec,
@@ -504,6 +505,50 @@ class TestSortedRegimeKernel:
                 for cell in dm.cells_for_bit(k):
                     y = cell_output_v(v, cell)
                     assert isinstance(y, float) and y == full_array_cell_output_v(v, cell)[0]
+
+
+class TestOrderCheckedOnce:
+    """``demap_static`` checks its input's order once and vouches for it to its cells."""
+
+    @pytest.fixture(scope="class")
+    def dm(self, c, imap):
+        return build_demapper(c, imap, "analog-mosfet")
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = analog._ascending_finite
+
+        def counted(v):
+            calls.append(v.size)
+            return check(v)
+
+        monkeypatch.setattr(analog, "_ascending_finite", counted)
+        return calls
+
+    def test_one_check_per_bit_call(self, dm, c, imap, checks):
+        _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 8192)
+        vin = imap(np.sort(r))
+        for k in (1, 2, 3):
+            checks.clear()
+            out = demap_static(vin, dm, k)
+            assert len(dm.cells_for_bit(k)) > 1 and checks == [8192]
+            assert type(out) is np.ndarray
+            np.testing.assert_array_equal(out, full_array_demap_static(vin, dm, k))
+
+    def test_unsorted_input_is_checked_per_cell(self, dm, c, imap, checks):
+        _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 8192)
+        out = demap_static(imap(r), dm, 1)
+        assert len(checks) == 1 + len(dm.cells_for_bit(1))
+        assert type(out) is np.ndarray
+        np.testing.assert_array_equal(out, full_array_demap_static(imap(r), dm, 1))
+
+    def test_direct_cell_calls_keep_their_check(self, dm, checks):
+        cell = dm.cells_for_bit(1)[0]
+        cell_output_v(np.linspace(0.1, 0.5, 11), cell)
+        assert checks == [11]
+        with pytest.raises(ValueError, match="finite"):
+            cell_output_v(np.array([0.1, 0.2, 0.3, np.inf]), cell)
 
 
 class TestSoftplusIdentities:

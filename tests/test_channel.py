@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import threading
 import time
 
 import numpy as np
@@ -106,6 +107,11 @@ class TestDraw:
         np.testing.assert_array_equal(bits, c.labels[idx])
         np.testing.assert_array_equal(r, c.points[idx] + rng.normal(0.0, p.sigma, 1000))
 
+    def test_bit_columns_are_contiguous(self):
+        bits, _ = draw(build_pam8(), from_snr_db(4.0), 21, 3, 5, 1000)
+        assert bits.shape == (1000, 3)
+        assert all(bits[:, k].flags.c_contiguous for k in range(3))
+
 
 class TestMapChunks:
     def test_results_in_chunk_order(self):
@@ -123,3 +129,42 @@ class TestMapChunks:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert map_chunks(lambda i, n: n, 10, 4, 1) == [4, 4, 2]
+
+    @pytest.mark.parametrize("n_workers, n_chunks", [(2, 2), (2, 7), (3, 2), (3, 7), (8, 3)])
+    def test_caller_runs_chunks_0_w_2w_beside_a_smaller_pool(self, monkeypatch, n_workers, n_chunks):
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        caller = threading.get_ident()
+
+        def fn(i, n):
+            time.sleep(0.001 * (n_chunks - i))  # early chunks finish last
+            return i, n, threading.get_ident()
+
+        out = map_chunks(fn, 10 * n_chunks - 3, 10, n_workers)
+        assert pools == [n_workers - 1]
+        assert [(i, n) for i, n, _ in out] == list(enumerate(chunk_sizes(10 * n_chunks - 3, 10)))
+        assert [i for i, _, thread in out if thread == caller] == list(range(0, n_chunks, n_workers))
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_error_is_raised_after_every_chunk_ends(self, failing):
+        # chunk 0 and 3 run on the calling thread, 1, 2 and 4 on the two helpers
+        ended = []
+        before = threading.active_count()
+
+        def fn(i, n):
+            time.sleep(0.01 if i != failing else 0.0)
+            ended.append(i)
+            if i == failing:
+                raise RuntimeError(f"chunk {i}")
+            return i
+
+        with pytest.raises(RuntimeError, match=f"chunk {failing}"):
+            map_chunks(fn, 50, 10, 3)
+        assert {1, 2, 4} <= set(ended)  # every submitted chunk ended before the raise
+        assert threading.active_count() == before

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demapsim import metrics
 from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.metrics import (
@@ -225,6 +226,26 @@ class TestPairedEvaluation:
         for name in fns:
             assert a[name].gmi_est == b[name].gmi_est
             assert a[name].ber_est == b[name].ber_est
+
+    def test_chunks_get_contiguous_bit_columns(self, c, monkeypatch):
+        # each chunk's bits reach the reduction sorted by r, one contiguous column per bit
+        seen = []
+        eval_chunk = metrics._eval_chunk
+
+        def recording(llr_fns, bits, r, ref_id):
+            seen.append((bits.copy(), r.copy(), all(bits[:, k].flags.c_contiguous for k in range(3))))
+            return eval_chunk(llr_fns, bits, r, ref_id)
+
+        monkeypatch.setattr(metrics, "_eval_chunk", recording)
+        p = from_snr_db(4.0)
+        evaluate_demappers({"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, 2_500, 5, chunk_size=1_000)
+        assert len(seen) == 3
+        for i, (bits, r, contiguous) in enumerate(seen):
+            want_bits, want_r = draw(c, p, 5, 0, i, (1_000, 1_000, 500)[i])
+            order = np.argsort(want_r)
+            assert contiguous and bits.dtype == np.uint8 and bits.shape == want_bits.shape
+            np.testing.assert_array_equal(bits, want_bits[order])
+            np.testing.assert_array_equal(r, want_r[order])
 
     def test_stream_separation(self, c):
         p = from_snr_db(5.0)
