@@ -100,10 +100,13 @@ def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
     key = operator.neg if x.size and x[0] > x[-1] else None  # descending: search -x
     i = bisect.bisect_right(x, -_SOFTPLUS_EDGE, key=key)
     j = bisect.bisect_left(x, _SOFTPLUS_EDGE, key=key)
-    low = x[j:] if key else x[:i]
+    m = bisect.bisect_left(x, 0.0, i, j, key=key)  # the band's sign change; every search ends before any write
+    low, neg, pos = (x[j:], x[m:j], x[i:m]) if key else (x[:i], x[i:m], x[m:j])  # a 0 gives ln 2 in neg or pos
     np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
     np.exp(low, out=low)
-    _softplus_(x[i:j])
+    np.log1p(np.exp(neg, out=neg), out=neg)
+    tail = np.negative(pos)
+    pos += np.log1p(np.exp(tail, out=tail), out=tail)
     return x
 
 
@@ -147,18 +150,19 @@ def cell_output_v(vin, cell: CellSpec):
     sum rounds to x.  For x <= -37, t = exp(x) < 2**-53, so log1p(t)
     rounds to t.  Both corners' arguments are monotone in the input, the
     turn-on one rising or falling with it and the saturation one the
-    other way, so on ascending input two bisections cut each softplus
-    buffer into three slices (views, no mask or gather):
+    other way, so on ascending input three bisections cut each softplus
+    buffer into four slices (views, no mask or gather):
 
     - x >= 37 is left as it is;
     - x <= -37 becomes exp(max(x, -700));
-    - only the band between takes the full formula.
+    - the band between splits at 0 into x + log1p(exp(-x)) and
+      log1p(exp(x)), the formula with its clamp idle and 0 + t = t.
 
     Every value thus gets exactly the bits of the full formula, and
     ``tests/test_analog.py`` pins both identities.  They also hold a
     little inside the edges (from about 33.3 up and from about -36.4
-    down), so if exp or log1p rounding made an argument non-monotone by
-    an ulp, a value at an edge could change slice but not its result.
+    down), so an argument an ulp out of order (exp and log1p rounding) could
+    change slice at an edge but not its value, and at 0 by at most an ulp.
     A cell never sorts: input that is not ascending takes the full
     formula on every value (``metrics._softplus_``), which gives the
     same bits.  Input from ``demap_static`` is checked there, once.

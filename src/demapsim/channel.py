@@ -9,6 +9,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,20 @@ def draw(c: Constellation, p: ChannelParams, seed: int, stream: int, chunk_index
     return bits, transmit(c.points[idx], p, rng)
 
 
+@functools.cache
+def _steady_heap() -> None:
+    """Fix glibc's malloc settings once per process, so the pages a chunk frees stay mapped
+    for the next chunk, not trimmed and faulted back in (about 20k minor faults per ``mc-gmi``
+    pass); either threshold alone stops glibc's dynamic ones.  No output changes."""
+    import ctypes  # not on the set-up path
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # None where the C library has none
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD, above every routine chunk array (512 KiB)
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD, above a chunk's working set
+        mallopt(-8, 1)  # M_ARENA_MAX, so no pool thread gets a fresh arena (+5 MB kept mapped)
+
+
 def map_chunks(fn, n_total: int, chunk_size: int, n_workers: int) -> list:
     """``fn(i, n)`` for every chunk i of n samples, in chunk order.
 
@@ -94,6 +109,7 @@ def map_chunks(fn, n_total: int, chunk_size: int, n_workers: int) -> list:
     The results still come back in chunk order, not completion order,
     and an error is raised only once every submitted chunk has ended.
     """
+    _steady_heap()
     sizes = chunk_sizes(n_total, chunk_size)
     if n_workers <= 1:
         return [fn(i, n) for i, n in enumerate(sizes)]

@@ -4,11 +4,13 @@ Both accept scalar or array observations and read the per-bit tables
 that ``Constellation`` builds once.  The exact LLR is a log-sum-exp
 over each class, shifted by that class's own largest exponent, so it
 neither overflows nor underflows at high SNR; one shift shared by both
-classes would flush the losing class to zero there.  The max-log LLR is
-exactly piecewise linear: on the segment where a is the nearest class-0
-point and b the nearest class-1 point it equals
+classes would flush the losing class to zero there.  It runs in blocks
+with L2-sized exponent buffers and the bits of one pass.  The max-log
+LLR is exactly piecewise linear: on the segment where a is the nearest
+class-0 point and b the nearest class-1 point it equals
 SNR * ((r - a)^2 - (r - b)^2) = 2 SNR (b - a) (r - (a + b) / 2),
-so one sorted search for the segment replaces any minimum search.
+so one sorted search for the segment replaces any minimum search, and
+on ascending input each segment is a slice.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .constellation import Constellation, bit_row
+
+EXACT_BLOCK = 8192  # samples: a class's (4, 8192) float64 exponents are 256 KiB
 
 
 def _class_logsumexp(r: np.ndarray, pts: np.ndarray, inv: float) -> np.ndarray:
@@ -45,26 +49,32 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     p0, p1 = c.class_points[bit_row(k)]
     r_arr = np.asarray(r, dtype=float)
     inv = 1.0 / (2.0 * p.sigma * p.sigma)
-    r1 = np.atleast_1d(r_arr)
-    out = _class_logsumexp(r1, p1, inv) - _class_logsumexp(r1, p0, inv)
-    return float(out[0]) if r_arr.ndim == 0 else out
+    flat = r_arr.reshape(-1)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, EXACT_BLOCK):
+        rb = flat[lo : lo + EXACT_BLOCK]
+        np.subtract(_class_logsumexp(rb, p1, inv), _class_logsumexp(rb, p0, inv), out=out[lo : lo + EXACT_BLOCK])
+    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
 
 
 def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     """Max-log LLR: SNR * (min_{I_k^0} (r - x)^2 - min_{I_k^1} (r - x)^2)."""
     kinks, a, b = c.maxlog_segments[bit_row(k)]
     r_arr = np.asarray(r, dtype=float)
+    slopes, mids = maxlog_segment_slopes(k, c, p), (a + b) / 2.0
+    if r_arr.ndim == 1 and np.all(r_arr[1:] >= r_arr[:-1]):
+        # no gathers; r == kink starts the next segment, as with side="right" below
+        edges, out = [0, *np.searchsorted(r_arr, kinks).tolist(), r_arr.size], np.empty_like(r_arr)
+        for lo, hi, mid, slope in zip(edges, edges[1:], mids, slopes):
+            seg = np.subtract(r_arr[lo:hi], mid, out=out[lo:hi])
+            seg *= slope
+        return out
     seg = np.searchsorted(kinks, r_arr, side="right")
-    out = maxlog_segment_slopes(k, c, p)[seg] * (r_arr - ((a + b) / 2.0)[seg])
+    out = slopes[seg] * (r_arr - mids[seg])
     return float(out) if r_arr.ndim == 0 else out
 
 
 def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
-    """Slope of the max-log LLR on each segment between its kinks.
-
-    On a segment where a is the active class-0 point and b the active
-    class-1 point, the LLR is SNR * ((r-a)^2 - (r-b)^2), with slope
-    2 * SNR * (b - a).
-    """
+    """Slope 2 SNR (b - a) of the max-log LLR on each segment between its kinks."""
     _, a, b = c.maxlog_segments[bit_row(k)]
     return 2.0 * p.snr_linear * (b - a)

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's computation paths: the exact-LLR
 oracle is a straight transcription without log-sum-exp stabilization
-(only valid where naive exponentials are safe), the max-log oracle is
-an explicit loop, the mutual-information oracle is Gauss-Hermite
+(only valid where naive exponentials are safe), and its whole-array
+twin is the stabilized formula in one pass, without blocks; the max-log
+oracle is an explicit loop, and its gather twin one segment search and
+one gather per sample; the mutual-information oracle is Gauss-Hermite
 quadrature of the defining expectation, the analog cell oracle is
 the softplus hinge written with np.logaddexp, the full-array analog
 oracles are the cell kernel's formula applied to every value, the
@@ -48,6 +50,29 @@ def brute_maxlog_llr(r: float, k: int, c: Constellation, snr_linear: float) -> f
     best0 = min((r - c.points[i]) ** 2 for i in class_indices(k, 0, c))
     best1 = min((r - c.points[i]) ** 2 for i in class_indices(k, 1, c))
     return snr_linear * (best0 - best1)
+
+
+def whole_array_exact_llr(r, k: int, c: Constellation, sigma: float) -> np.ndarray:
+    """The exact LLR with each class's log-sum-exp shifted by its own largest
+    exponent, over the whole array in one pass, in the library's operation order."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    inv = 1.0 / (2.0 * sigma * sigma)
+
+    def class_logsumexp(b):
+        e = np.square(np.subtract.outer(c.points[class_indices(k, b, c)], r)) * -inv
+        shift = e.max(axis=0)
+        return np.log(np.exp(e - shift).sum(axis=0)) + shift
+
+    return class_logsumexp(1) - class_logsumexp(0)
+
+
+def gather_maxlog_llr(r, k: int, c: Constellation, snr_linear: float) -> np.ndarray:
+    """Max-log LLR from each sample's segment, found by one search of the kinks,
+    and that segment's slope and midpoint gathered per sample."""
+    r = np.asarray(r, dtype=float)
+    kinks, a, b = c.maxlog_segments[k - 1]
+    seg = np.searchsorted(kinks, r, side="right")
+    return (2.0 * snr_linear * (b - a))[seg] * (r - ((a + b) / 2.0)[seg])
 
 
 def quadrature_mi_exact(k: int, c: Constellation, sigma: float, n_nodes: int = 160) -> float:

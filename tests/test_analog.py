@@ -19,6 +19,7 @@ from demapsim.analog import (
 from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
 from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
+from demapsim.metrics import _softplus_
 from demapsim.reference import maxlog_llr, maxlog_segment_slopes
 
 from oracles import (
@@ -429,11 +430,11 @@ def _softplus_args(vin, cell: CellSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _edge_points(cell: CellSpec, ulps: int = 4) -> np.ndarray:
     """The ``ulps`` floats on each side of every input where one of the
-    cell's softplus arguments crosses -37 or +37 (found by bisection
+    cell's softplus arguments crosses -37, 0 or +37 (found by bisection
     down to adjacent floats)."""
     points = []
     for arg in (0, 1):
-        for edge in (-37.0, 37.0):
+        for edge in (-37.0, 0.0, 37.0):
             def above(v):
                 return bool(_softplus_args(np.array([v]), cell)[arg][0] >= edge)
             lo, hi = cell.vref - 10.0, cell.vref + 10.0
@@ -478,7 +479,7 @@ class TestSortedRegimeKernel:
             cells = dm.cells_for_bit(k)
             for cell in cells:
                 vin = _edge_points(cell)
-                assert vin.size == 4 * 8  # both arguments cross both edges
+                assert vin.size == 4 * 12  # both arguments cross -37, 0 and 37
                 np.testing.assert_array_equal(cell_output_v(vin, cell), full_array_cell_output_v(vin, cell))
                 shuffled = np.random.default_rng(1).permutation(vin)
                 np.testing.assert_array_equal(cell_output_v(shuffled, cell), full_array_cell_output_v(shuffled, cell))
@@ -549,6 +550,32 @@ class TestOrderCheckedOnce:
         assert checks == [11]
         with pytest.raises(ValueError, match="finite"):
             cell_output_v(np.array([0.1, 0.2, 0.3, np.inf]), cell)
+
+
+class TestSignSplitSoftplus:
+    """The sliced softplus, band split at 0, gives the full formula's bits."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        assert analog._softplus_monotone_(x.copy()).tobytes() == _softplus_(x.copy()).tobytes()
+
+    def test_ascending_and_descending_with_signed_zeros(self):
+        tiny = np.nextafter(0.0, 1.0)
+        near_zero = [0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1e-17, -1e-17, 2.2e-16, -2.2e-16]
+        edges = [s * np.nextafter(37.0, d) for s in (-1.0, 1.0) for d in (0.0, 37.0, 1e3)]
+        x = np.sort(np.concatenate([np.linspace(-50.0, 50.0, 100_001), near_zero, edges, [-800.0, 800.0]]))
+        assert np.count_nonzero(x == 0.0) == 3 and np.signbit(x[x == 0.0]).any()  # 0.0 and -0.0
+        self.assert_same_bits(x)
+        self.assert_same_bits(x[::-1])
+
+    @pytest.mark.parametrize(
+        "x",
+        [[], [0.0], [-0.0], [-0.0, 0.0, -0.0], [-3.0, -1.0], [1.0, 3.0], [5.0, -0.0], [-40.0, 0.0, 40.0], [40.0, -0.0]],
+    )
+    def test_short_arrays(self, x):
+        x = np.array(x, dtype=float)
+        self.assert_same_bits(x)
+        self.assert_same_bits(x[::-1])
 
 
 class TestSoftplusIdentities:

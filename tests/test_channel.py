@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import platform
+import resource
 import threading
 import time
 
@@ -8,6 +10,8 @@ import pytest
 
 from demapsim.channel import chunk_sizes, draw, from_snr_db, map_chunks, transmit, worker_rng
 from demapsim.constellation import build_pam8
+from demapsim.metrics import evaluate_demappers
+from demapsim.reference import exact_llr, maxlog_llr
 
 
 class TestSnrConversion:
@@ -168,3 +172,24 @@ class TestMapChunks:
             map_chunks(fn, 50, 10, 3)
         assert {1, 2, 4} <= set(ended)  # every submitted chunk ended before the raise
         assert threading.active_count() == before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the chunk runner tunes glibc's malloc only")
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_warm_chunk_runner_does_not_fault_its_pages_back_in(n_workers):
+    # with glibc's dynamic thresholds, each chunk's freed working set is
+    # trimmed and faulted back in by the next: about 1,000 faults a chunk;
+    # and a helper thread that starts before the last one has exited would
+    # get a fresh arena and fault in its own working set
+    c = build_pam8()
+    p = from_snr_db(7.0)
+    fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)}
+
+    def run():
+        return evaluate_demappers(fns, c, p, 2 * 65_536, 8, ref_id="exact", n_workers=n_workers)
+
+    first = run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    second = run()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
+    assert second == first

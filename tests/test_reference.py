@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import demapsim
-from demapsim.channel import from_snr_db
+from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import (
+    EXACT_BLOCK,
     exact_llr,
     maxlog_llr,
     maxlog_segment_slopes,
 )
 
-from oracles import brute_maxlog_llr, naive_exact_llr
+from oracles import brute_maxlog_llr, gather_maxlog_llr, naive_exact_llr, whole_array_exact_llr
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,77 @@ class TestExactLlr:
             assert np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))
             mirrored = -neg if k == 1 else neg
             np.testing.assert_allclose(pos, mirrored, rtol=1e-12, atol=1e-9)
+
+
+class TestBlockedExactLlr:
+    """Blocks of ``EXACT_BLOCK`` samples give the bits of one whole-array pass."""
+
+    @pytest.mark.parametrize("snr_db", [-2.0, 16.0, 60.0])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+    def test_bit_identical_to_one_pass(self, c, snr_db, n):
+        assert EXACT_BLOCK == 8192
+        p = from_snr_db(snr_db)
+        r = np.random.default_rng(n).uniform(-3.0, 3.0, n)
+        r[: min(n, 6)] = [-1e3, 1e3, -100.0, 100.0, -10.0, 10.0][: min(n, 6)]  # far tails
+        for k in (1, 2, 3):
+            got = exact_llr(r, k, c, p)
+            assert got.shape == (n,) and np.all(np.isfinite(got))
+            assert got.tobytes() == whole_array_exact_llr(r, k, c, p.sigma).tobytes()
+            assert got.tobytes() == exact_llr(np.sort(r), k, c, p)[np.argsort(np.argsort(r))].tobytes()
+
+    def test_scalars_return_float(self, c, p10):
+        for r in (-1e3, -0.3, 0.0, 0.3, 1e3):
+            for k in (1, 2, 3):
+                llr = exact_llr(r, k, c, p10)
+                assert isinstance(llr, float) and llr == whole_array_exact_llr(r, k, c, p10.sigma)[0]
+
+    def test_empty_and_two_dimensional_input(self, c, p10):
+        assert exact_llr(np.array([]), 1, c, p10).shape == (0,)
+        r = np.random.default_rng(3).uniform(-3.0, 3.0, (3, 8195))
+        got = exact_llr(r, 2, c, p10)
+        assert got.shape == r.shape
+        assert got.tobytes() == whole_array_exact_llr(r.ravel(), 2, c, p10.sigma).tobytes()
+
+
+class TestMaxlogAscendingSlices:
+    """Ascending input takes slices per segment, with the gather path's bits."""
+
+    @staticmethod
+    def assert_gather_bits(r, c, p):
+        for k in (1, 2, 3):
+            got = maxlog_llr(r, k, c, p)
+            want = gather_maxlog_llr(r, k, c, p.snr_linear)
+            if np.ndim(r) == 0:
+                assert isinstance(got, float) and got == float(want)
+            else:
+                assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("snr_db", [-2.0, 7.0, 16.0])
+    def test_sorted_monte_carlo_draws(self, c, snr_db):
+        p = from_snr_db(snr_db)
+        _, r = draw(c, p, 12345, 0, 0, 65_536)
+        self.assert_gather_bits(np.sort(r), c, p)
+
+    def test_kinks_neighbours_repeats_and_infinite_ends(self, c, p10):
+        kinks = np.concatenate([seg[0] for seg in c.maxlog_segments])
+        near = [kinks]
+        for direction in (-np.inf, np.inf):
+            x = kinks
+            for _ in range(4):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        r = np.sort(np.concatenate([*near, kinks, [0.0, -0.0, -np.inf, np.inf, np.inf]]))
+        assert np.all(r[1:] >= r[:-1]) and r[0] == -np.inf
+        self.assert_gather_bits(r, c, p10)
+
+    def test_other_orders_and_sizes_keep_the_gather_path(self, c, p10):
+        r = np.random.default_rng(4).uniform(-2.0, 2.0, 1001)
+        with_nan = np.sort(r)
+        with_nan[500] = np.nan
+        singles = (np.array([]), np.array([0.3]), np.array([np.nan]), 0.3, np.float64(-1.2))
+        pairs = (np.array([0.4, -0.4]), np.array([-0.4, 0.4]))
+        for x in (np.sort(r)[::-1], r, with_nan, *singles, *pairs):
+            self.assert_gather_bits(x, c, p10)
 
 
 class TestMaxlogLlr:
