@@ -389,17 +389,7 @@ def build_demapper(
 
 
 def demapper_to_dict(d: AnalogDemapper) -> dict:
-    return {
-        "vdd": d.vdd,
-        "vin_min": d.vin_min,
-        "vin_max": d.vin_max,
-        "mode": d.mode,
-        "knee_eps": d.knee_eps,
-        "isat_v": d.isat_v,
-        "input_map": {"scale": d.input_map.scale, "offset": d.input_map.offset},
-        "output_scales": list(d.output_scales),
-        "cells": {f"b{k}": [asdict(cell) for cell in d.cells_for_bit(k)] for k in (1, 2, 3)},
-    }
+    return {**asdict(d), "cells": {f"b{k}": [asdict(cell) for cell in d.cells_for_bit(k)] for k in (1, 2, 3)}}
 
 
 def demapper_from_dict(data: dict) -> AnalogDemapper:

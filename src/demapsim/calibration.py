@@ -65,9 +65,3 @@ def fit_output_map(k: int, vout_curve, ref_llr, grid: np.ndarray) -> AffineMap:
     gamma = float(dv @ (ref - ref.mean())) / denom
     zeta = float(ref.mean() - gamma * v_mean)
     return AffineMap(scale=gamma, offset=zeta)
-
-
-def fit_residual_rms(map_: AffineMap, vout: np.ndarray, ref: np.ndarray) -> float:
-    """Root-mean-square residual of a fitted output map on samples."""
-    res = map_(vout) - np.asarray(ref, float)
-    return float(np.sqrt(np.mean(res * res)))

@@ -1,12 +1,15 @@
 """Experiment runner: configuration, per-SNR calibration, CSV output.
 
-Each experiment produces one CSV table and an adjacent ``.meta.json``
-file holding the full resolved configuration, the synthesized demapper
-descriptions and every calibration constant, so any row can be
-re-derived from the metadata alone.  Identical configuration and seed
-give byte-identical tables regardless of the worker count.  Runners
-return the table as segments (see ``write_csv``): one row dict per row
-for the short tables, one segment of array columns per curve or trace.
+``run_experiment`` validates the configuration, builds one ``Workbench``
+and passes it to the experiment's runner; the Workbench records every
+calibration it makes.  Each experiment produces one CSV table and an
+adjacent ``.meta.json`` file holding the full resolved configuration,
+the synthesized demapper descriptions and every calibration constant,
+so any row can be re-derived from the metadata alone.  Identical
+configuration and seed give byte-identical tables regardless of the
+worker count.  Runners return the table as segments (see
+``write_csv``): one row dict per row for the short tables, one segment
+of array columns per curve or trace.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -47,7 +50,6 @@ from .dynamics import (
 from .metrics import evaluate_demappers, rate_penalty
 from .reference import exact_llr, maxlog_llr
 
-EXPERIMENTS = ("llr-curves", "rate-penalty", "ber-vs-rate", "transitions")
 MODES = ("exact", "maxlog", *PRESETS)
 
 
@@ -224,20 +226,25 @@ def validate_config(cfg: dict, experiment: str) -> dict:
 
 @dataclass
 class Workbench:
-    """Shared objects for one experiment run."""
+    """Shared objects of one experiment run, built once by ``run_experiment``
+    and passed to the runner: the analog demappers and their settling
+    parameters, one LLR rule per mode, and a record of every calibration
+    made, which ``meta()`` writes out."""
 
     c: Constellation
     imap: AffineMap
     demappers: dict[str, AnalogDemapper]  # the analog modes, in ``cfg["modes"]`` order
+    dynamics: dict[str, DynamicsParams]  # settling parameters, per analog mode
     cfg: dict
+    calibrations: dict[float, dict] = field(default_factory=dict)  # calibrate()'s maps per SNR, in call order
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Workbench":
         c = build_pam8()
         vmin, vmax = (float(v) for v in cfg["input_window_v"])
         imap = input_map(c, vmin, vmax)
-        dem_cfg = cfg["demapper"]
-        demappers = {}
+        dem_cfg, dyn = cfg["demapper"], cfg["dynamics"]
+        demappers, dynamics = {}, {}
         for mode_id in cfg["modes"]:
             if mode_id in PRESETS:
                 demappers[mode_id] = build_demapper(
@@ -249,46 +256,53 @@ class Workbench:
                     r_span=float(dem_cfg["r_span"]),
                     vdd=float(dem_cfg["vdd"]),
                 )
-        return cls(c=c, imap=imap, demappers=demappers, cfg=cfg)
+                dynamics[mode_id] = DynamicsParams.for_mode(
+                    mode_id,
+                    tau=float(dyn["tau_s"]),
+                    t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
+                    sample_fraction=float(dyn["sample_fraction"]),
+                    samples_per_symbol=int(cfg["transitions"]["samples_per_symbol"]),
+                )
+        return cls(c=c, imap=imap, demappers=demappers, dynamics=dynamics, cfg=cfg)
 
     def calibrate(self, snr_db: float) -> dict[str, dict[int, AffineMap]]:
-        """Per-SNR least-squares output maps against the exact LLRs."""
-        if not self.demappers:
-            return {}
-        params = from_snr_db(snr_db)
-        grid = calibration_grid(self.c, params.sigma)
-        # the input voltages and reference LLRs are shared by every mode
-        vin = self.imap(grid)
-        refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
-        return {
-            mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), refs[k], grid) for k in (1, 2, 3)}
-            for mode_id, demapper in self.demappers.items()
-        }
+        """Per-SNR least-squares output maps against the exact LLRs,
+        recorded in ``calibrations``."""
+        maps = {}
+        if self.demappers:
+            params = from_snr_db(snr_db)
+            grid = calibration_grid(self.c, params.sigma)
+            # the input voltages and reference LLRs are shared by every mode
+            vin = self.imap(grid)
+            refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
+            maps = {
+                mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), refs[k], grid) for k in (1, 2, 3)}
+                for mode_id, demapper in self.demappers.items()
+            }
+        self.calibrations[snr_db] = maps
+        return maps
 
-    def llr_fns(self, snr_db: float, output_maps: dict[str, dict[int, AffineMap]]) -> dict:
-        """LLR callables (r, k) -> array for every configured mode."""
-        params = from_snr_db(snr_db)
-        fns = {}
-        for mode_id in self.cfg["modes"]:
-            if mode_id == "exact":
-                fns[mode_id] = lambda r, k, p=params: exact_llr(r, k, self.c, p)
-            elif mode_id == "maxlog":
-                fns[mode_id] = lambda r, k, p=params: maxlog_llr(r, k, self.c, p)
-            else:
-                demapper = self.demappers[mode_id]
-                per_bit = output_maps[mode_id]
+    def rule(self, mode_id: str, snr_db: float):
+        """The LLR callable (r, k) -> array of ``mode_id`` at ``snr_db``;
+        an analog mode uses the maps ``calibrate(snr_db)`` recorded."""
+        if mode_id in PRESETS:
+            demapper, per_bit = self.demappers[mode_id], self.calibrations[snr_db][mode_id]
+            return lambda r, k: per_bit[k](demap_static(demapper.input_map(r), demapper, k))
+        llr, params = {"exact": exact_llr, "maxlog": maxlog_llr}[mode_id], from_snr_db(snr_db)
+        return lambda r, k: llr(r, k, self.c, params)
 
-                def analog_fn(r, k, demapper=demapper, per_bit=per_bit):
-                    return per_bit[k](demap_static(demapper.input_map(r), demapper, k))
-
-                fns[mode_id] = analog_fn
-        return fns
-
-    def meta(self, maps_by_snr: dict | None = None) -> dict:
-        """Every synthesized demapper and, if given, the calibration constants per SNR."""
+    def meta(self) -> dict:
+        """Every synthesized demapper and, if any SNR was calibrated, the
+        calibration constants per SNR."""
         meta = {"demappers": {m: demapper_to_dict(d) for m, d in self.demappers.items()}}
-        if maps_by_snr is not None:
-            meta["calibration"] = _calibration_meta(maps_by_snr)
+        if self.calibrations:
+            meta["calibration"] = {
+                repr(float(snr)): {
+                    mode: {f"b{k}": {"gamma": m.scale, "zeta": m.offset} for k, m in per_bit.items()}
+                    for mode, per_bit in maps.items()
+                }
+                for snr, maps in self.calibrations.items()
+            }
         return meta
 
 
@@ -355,16 +369,6 @@ def write_metadata(csv_path, cfg: dict, extra: dict) -> Path:
     return meta_path
 
 
-def _calibration_meta(output_maps_by_snr: dict) -> dict:
-    return {
-        repr(float(snr)): {
-            mode: {f"b{k}": {"gamma": m.scale, "zeta": m.offset} for k, m in per_bit.items()}
-            for mode, per_bit in maps.items()
-        }
-        for snr, maps in output_maps_by_snr.items()
-    }
-
-
 METRIC_FIELDS = [
     "snr_db", "demapper_id", "mi_b1", "mi_b2", "mi_b3", "gmi", "penalty_pct",
     "ber", "n_samples", "std_err",
@@ -377,35 +381,19 @@ TRACE_FIELDS = [
 ]
 
 
-def _dynamics_params(cfg: dict, demapper: AnalogDemapper, **kwargs) -> DynamicsParams:
-    """Settling parameters of ``demapper`` from the ``dynamics`` block,
-    plus ``kwargs`` (the sample count of a ``transitions`` trace)."""
-    dyn = cfg["dynamics"]
-    return DynamicsParams.for_mode(
-        demapper.mode,
-        tau=float(dyn["tau_s"]),
-        t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
-        sample_fraction=float(dyn["sample_fraction"]),
-        **kwargs,
-    )
-
-
-def run_llr_curves(cfg: dict) -> tuple[list[dict], dict]:
+def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
     """Calibrated LLR curves over the input-voltage window: one segment
     per SNR, mode and bit."""
-    validate_config(cfg, "llr-curves")
-    bench = Workbench.from_config(cfg)
+    cfg = bench.cfg
     vmin, vmax = (float(v) for v in cfg["input_window_v"])
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
     r = np.asarray(bench.imap.inverse(vin))
     seed = cfg["seed"]
     segments = []
-    maps_by_snr = {}
     for snr_db in (float(s) for s in cfg["llr_snr_db"]):
         output_maps = bench.calibrate(snr_db)
-        maps_by_snr[snr_db] = output_maps
-        for mode_id, fn in bench.llr_fns(snr_db, output_maps).items():
-            maps = output_maps.get(mode_id)
+        for mode_id in cfg["modes"]:
+            fn, maps = bench.rule(mode_id, snr_db), output_maps.get(mode_id)
             segments += [
                 {
                     "snr_db": snr_db,
@@ -420,27 +408,21 @@ def run_llr_curves(cfg: dict) -> tuple[list[dict], dict]:
                 }
                 for k in (1, 2, 3)
             ]
-    return segments, bench.meta(maps_by_snr)
+    return segments, bench.meta()
 
 
-def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
+def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
     """GMI, rate penalty, std error and hard-decision BER per SNR and mode."""
-    validate_config(cfg, "rate-penalty")
-    bench = Workbench.from_config(cfg)
+    cfg = bench.cfg
     seed = cfg["seed"]
     rows = []
-    maps_by_snr = {}
     for snr_index, snr_db in enumerate(float(s) for s in cfg["snr_db"]):
-        params = from_snr_db(snr_db)
         output_maps = bench.calibrate(snr_db)
-        maps_by_snr[snr_db] = output_maps
-        fns = bench.llr_fns(snr_db, output_maps)
-        # the exact rule is always evaluated: it anchors the penalty
-        fns.setdefault("exact", lambda r, k, p=params: exact_llr(r, k, bench.c, p))
         evals = evaluate_demappers(
-            fns,
+            # the exact rule is always evaluated: it anchors the penalty
+            {m: bench.rule(m, snr_db) for m in ("exact", *cfg["modes"])},
             bench.c,
-            params,
+            from_snr_db(snr_db),
             cfg["n_samples"],
             seed,
             ref_id="exact",
@@ -469,24 +451,22 @@ def run_rate_penalty(cfg: dict) -> tuple[list[dict], dict]:
                 row[f"gamma_{k}"] = maps[k].scale if maps else None
                 row[f"zeta_{k}"] = maps[k].offset if maps else None
             rows.append(row)
-    return rows, bench.meta(maps_by_snr)
+    return rows, bench.meta()
 
 
-def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
+def run_ber_vs_rate(bench: Workbench) -> tuple[list[dict], dict]:
     """Settling-limited BER sweep plus the static exact reference row."""
-    validate_config(cfg, "ber-vs-rate")
-    bench = Workbench.from_config(cfg)
+    cfg = bench.cfg
     seed = cfg["seed"]
     snr_db = float(cfg["ber_snr_db"])
-    params = from_snr_db(snr_db)
     rates = [float(x) for x in cfg["rates_sps"]]
     output_maps = bench.calibrate(snr_db)
     rows = []
 
     static = evaluate_demappers(
-        {"exact": lambda r, k: exact_llr(r, k, bench.c, params)},
+        {"exact": bench.rule("exact", snr_db)},
         bench.c,
-        params,
+        from_snr_db(snr_db),
         cfg["n_symbols"],
         seed,
         stream=len(rates),  # streams 0..len(rates)-1 belong to the sweep
@@ -504,29 +484,27 @@ def run_ber_vs_rate(cfg: dict) -> tuple[list[dict], dict]:
         }
     )
 
-    sweeps = {mode_id: (d, output_maps[mode_id], _dynamics_params(cfg, d)) for mode_id, d in bench.demappers.items()}
+    sweeps = {mode_id: (d, output_maps[mode_id], bench.dynamics[mode_id]) for mode_id, d in bench.demappers.items()}
     sweep = ber_vs_rate(rates, snr_db, sweeps, cfg["n_symbols"], seed, bench.c, n_workers=cfg["n_workers"])
     for mode_id, entries in sweep.items():
         rows += [{**entry, "demapper_id": mode_id, "seed": seed} for entry in entries]
-    return rows, {"snr_db": snr_db, **bench.meta({snr_db: output_maps})}
+    return rows, {"snr_db": snr_db, **bench.meta()}
 
 
-def run_transitions(cfg: dict) -> tuple[list[dict], dict]:
+def run_transitions(bench: Workbench) -> tuple[list[dict], dict]:
     """The two canonical settling traces for both analog modes: one
     segment per mode and transition."""
-    validate_config(cfg, "transitions")
-    bench = Workbench.from_config(cfg)
+    cfg = bench.cfg
     seed = cfg["seed"]
     d_scale = bench.c.d
     transitions = {
         "+3d_to_+7d": (3.0 * d_scale, 7.0 * d_scale),
         "-7d_to_-5d": (-7.0 * d_scale, -5.0 * d_scale),
     }
-    tr_cfg = cfg["transitions"]
-    rate = float(tr_cfg["symbol_rate_sps"])
+    rate = float(cfg["transitions"]["symbol_rate_sps"])
     segments = []
     for mode_id, demapper in bench.demappers.items():
-        dp = _dynamics_params(cfg, demapper, samples_per_symbol=int(tr_cfg["samples_per_symbol"]))
+        dp = bench.dynamics[mode_id]
         for name, (r_a, r_b) in transitions.items():
             traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)]
             segments.append(
@@ -549,14 +527,15 @@ _RUNNERS = {
     "ber-vs-rate": (run_ber_vs_rate, SWEEP_FIELDS),
     "transitions": (run_transitions, TRACE_FIELDS),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(experiment: str, cfg: dict, out_path=None) -> Path:
-    """Run one experiment and write its CSV and metadata files."""
-    if experiment not in _RUNNERS:
-        raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
+    """Validate ``cfg``, build its Workbench once, run one experiment on
+    it and write its CSV and metadata files."""
+    validate_config(cfg, experiment)
     runner, fields = _RUNNERS[experiment]
-    rows, meta = runner(cfg)
+    rows, meta = runner(Workbench.from_config(cfg))
     path = out_path or cfg.get("out") or f"{experiment.replace('-', '_')}.csv"
     write_csv(path, fields, rows)
     write_metadata(path, cfg, meta)

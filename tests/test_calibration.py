@@ -6,12 +6,17 @@ from demapsim.calibration import (
     AffineMap,
     calibration_grid,
     fit_output_map,
-    fit_residual_rms,
     input_map,
 )
 from demapsim.channel import from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.reference import exact_llr, maxlog_llr
+
+
+def fit_residual_rms(map_: AffineMap, vout: np.ndarray, ref: np.ndarray) -> float:
+    """Root-mean-square residual of a fitted output map on samples."""
+    res = map_(vout) - np.asarray(ref, float)
+    return float(np.sqrt(np.mean(res * res)))
 
 
 @pytest.fixture(scope="module")

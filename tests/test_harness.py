@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from demapsim import cli, harness
 from demapsim.analog import demapper_from_dict, demap_static
 from demapsim.cli import main
 from demapsim.harness import (
+    EXPERIMENTS,
     ConfigError,
     LLR_FIELDS,
     METRIC_FIELDS,
@@ -148,6 +150,23 @@ class TestConfigValidation:
         assert bench.demappers == {}
         assert bench.calibrate(10.0) == {}
 
+    @pytest.mark.parametrize(
+        "experiment, extra, message",
+        [
+            ("rate-penalty", {"n_samples": 10}, "n_samples"),
+            ("transitions", {"modes": ["exact"]}, "needs an analog mode"),
+            ("eye-diagram", {}, "experiment: unknown id 'eye-diagram'"),
+        ],
+    )
+    def test_run_experiment_validates_before_any_set_up(self, tmp_path, monkeypatch, experiment, extra, message):
+        def no_set_up(cfg):
+            raise AssertionError("Workbench.from_config ran on an invalid config")
+
+        monkeypatch.setattr(Workbench, "from_config", no_set_up)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(experiment, small_config(**extra), tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_file_merge(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 42\nn_samples: 2000\n")
@@ -159,7 +178,7 @@ class TestConfigValidation:
 
 @pytest.fixture(scope="module")
 def result():
-    return run_llr_curves(small_config())
+    return run_llr_curves(Workbench.from_config(small_config()))
 
 
 class TestLlrCurves:
@@ -317,7 +336,52 @@ class TestOutputsAndDeterminism:
         assert [mode for mode in ids if mode.startswith("analog-")] == ["analog-mosfet", "analog-bjt"]
 
 
+class TestWorkbench:
+    def test_meta_records_each_calibration_in_call_order(self):
+        bench = Workbench.from_config(small_config(modes=["maxlog", "analog-bjt"]))
+        assert "calibration" not in bench.meta()
+        maps = {snr: bench.calibrate(snr) for snr in (10.0, -2.0)}
+        cal = bench.meta()["calibration"]
+        assert list(cal) == ["10.0", "-2.0"]
+        for snr, per_mode in maps.items():
+            assert set(per_mode) == {"analog-bjt"}
+            assert cal[repr(snr)]["analog-bjt"] == {
+                f"b{k}": {"gamma": m.scale, "zeta": m.offset} for k, m in per_mode["analog-bjt"].items()
+            }
+
+    def test_transitions_meta_has_no_calibration(self, tmp_path):
+        run_experiment("transitions", small_config(), tmp_path / "tr.csv")
+        meta = json.loads((tmp_path / "tr.csv.meta.json").read_text())
+        assert "calibration" not in meta
+        assert set(meta["demappers"]) == {"analog-bjt", "analog-mosfet"}
+
+    def test_rate_penalty_without_exact_mode(self, tmp_path):
+        # the exact rule still anchors the penalty: the rows equal those of a run that lists it
+        lines = {}
+        for name, modes in (("without", ["maxlog", "analog-bjt"]), ("with", ["exact", "maxlog", "analog-bjt"])):
+            path = run_experiment("rate-penalty", small_config(modes=modes), tmp_path / f"{name}.csv")
+            lines[name] = path.read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines["without"]]
+        ids = header.index("demapper_id")
+        assert [(row[0], row[ids]) for row in rows] == [
+            (snr, mode) for snr in ("0.0", "10.0") for mode in ("maxlog", "analog-bjt")
+        ]
+        assert all(np.isfinite(float(row[header.index("penalty_pct")])) for row in rows)
+        assert lines["without"] == [line for line in lines["with"] if ",exact," not in line]
+
+    def test_ber_vs_rate_ignores_the_trace_sample_count(self, tmp_path):
+        texts = []
+        for spsym in (20, 100):
+            cfg = small_config(n_symbols=2000, transitions={"symbol_rate_sps": 1e8, "samples_per_symbol": spsym})
+            path = run_experiment("ber-vs-rate", cfg, tmp_path / f"s{spsym}.csv")
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+
+
 class TestCli:
+    def test_one_list_of_experiments(self):
+        assert set(cli.main.commands) == set(cli._FLAG_KEYS) == set(harness._RUNNERS) == set(EXPERIMENTS)
+
     def test_successful_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
@@ -510,7 +574,7 @@ class TestWriteCsv:
         self.assert_same_bytes(tmp_path, [], [{"a": 1}] * 3)
 
     def test_llr_curves_rows(self, tmp_path):
-        segments, _ = run_llr_curves(small_config(llr_snr_db=[0.0, 10.0]))
+        segments, _ = run_llr_curves(Workbench.from_config(small_config(llr_snr_db=[0.0, 10.0])))
         self.assert_same_segment_bytes(tmp_path, LLR_FIELDS, segments)
 
     EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e-300, 5e-324, -5e-324, 1.0 / 3.0]
