@@ -26,8 +26,7 @@ from .dynamics import (
     simulate_transient,
 )
 from .metrics import (
-    BerEstimate,
-    GmiEstimate,
+    DemapperEvaluation,
     energy_per_bit,
     evaluate_demappers,
     rate_penalty,
@@ -37,12 +36,11 @@ from .reference import exact_llr, maxlog_llr
 __all__ = [
     "AffineMap",
     "AnalogDemapper",
-    "BerEstimate",
     "CellSpec",
     "ChannelParams",
     "Constellation",
+    "DemapperEvaluation",
     "DynamicsParams",
-    "GmiEstimate",
     "TransientTrace",
     "ber_vs_rate",
     "build_demapper",

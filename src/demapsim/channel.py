@@ -31,17 +31,18 @@ class ChannelParams:
         return 10.0 ** (self.snr_db / 10.0)
 
 
+# every experiment stays finite from about -3073 to +3054 dB: past those
+# the exact LLR or the calibration overflows
+SNR_DB_MAX = 3000.0
+
+
 def from_snr_db(snr_db: float) -> ChannelParams:
     """Noise standard deviation from SNR = 1 / (2 sigma^2) in dB; ValueError
-    unless it is finite and positive, as over- or underflow can make it."""
+    unless |snr_db| is at most ``SNR_DB_MAX``."""
     snr_db = float(snr_db)
-    try:
-        sigma = float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0))))
-    except (OverflowError, ZeroDivisionError):
-        sigma = 0.0
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"{snr_db} dB is out of range: the noise sigma it gives is not finite and positive")
-    return ChannelParams(snr_db=snr_db, sigma=sigma)
+    if not abs(snr_db) <= SNR_DB_MAX:
+        raise ValueError(f"{snr_db} dB is out of range: |snr_db| must be at most {SNR_DB_MAX:g} dB")
+    return ChannelParams(snr_db=snr_db, sigma=float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0)))))
 
 
 def transmit(x, p: ChannelParams, rng: np.random.Generator):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import click
 
+from . import __version__
 from .harness import ConfigError, load_config, run_experiment
 
 
@@ -22,7 +23,7 @@ def _parse_snr_list(_ctx, _param, value):
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__, prog_name="demap")  # not from package metadata: src/ may run uninstalled
 def main():
     """Analog 8-PAM demapper experiments.
 

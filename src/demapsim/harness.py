@@ -214,13 +214,23 @@ def validate_config(cfg: dict, experiment: str) -> dict:
     _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
     _require_int(tr.get("samples_per_symbol"), "transitions.samples_per_symbol", 2)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
-    _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
+    vdd = _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
+    c = build_pam8()
     # the synthesis range, +-r_span, must hold every max-log kink; the outermost is at 6d
-    _require_number(dem.get("r_span"), "demapper.r_span", max(float(s[0][-1]) for s in build_pam8().maxlog_segments))
+    r_span = _require_number(dem.get("r_span"), "demapper.r_span", max(float(s[0][-1]) for s in c.maxlog_segments))
+    imap = input_map(c, vmin, vmax)
     for mode_id in PRESETS:
         cell = _require_mapping(dem.get(mode_id), f"demapper.{mode_id}")
-        _require_number(cell.get("knee_eps_v"), f"demapper.{mode_id}.knee_eps_v", 0.0, inclusive=True)
-        _require_number(cell.get("isat_v"), f"demapper.{mode_id}.isat_v", 0.0)
+        knee = _require_number(cell.get("knee_eps_v"), f"demapper.{mode_id}.knee_eps_v", 0.0, inclusive=True)
+        isat = _require_number(cell.get("isat_v"), f"demapper.{mode_id}.isat_v", 0.0)
+        # synthesize every preset, as from_config does the listed ones; under an unbounded
+        # vdd only the input geometry can fail, so the output-swing check is named apart
+        checks = ((np.inf, "input_window_v, demapper.r_span"), (vdd, f"demapper.vdd, demapper.{mode_id}.isat_v"))
+        for supply, fields in checks:
+            try:
+                build_demapper(c, imap, mode_id, knee_eps=knee, isat_v=isat, r_span=r_span, vdd=supply)
+            except ValueError as exc:
+                raise ConfigError(f"{fields}: {exc}") from None
     return cfg
 
 
@@ -430,21 +440,21 @@ def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
             n_workers=cfg["n_workers"],
             chunk_size=cfg["chunk_size"],
         )
-        gmi_exact = evals["exact"].gmi_est.gmi  # its MC estimate can be <= 0 at low SNR: no penalty then
+        gmi_exact = evals["exact"].gmi  # its MC estimate can be <= 0 at low SNR: no penalty then
         for mode_id in cfg["modes"]:
             ev = evals[mode_id]
             maps = output_maps.get(mode_id)
             row = {
                 "snr_db": snr_db,
                 "demapper_id": mode_id,
-                "mi_b1": ev.gmi_est.per_bit_mi[0],
-                "mi_b2": ev.gmi_est.per_bit_mi[1],
-                "mi_b3": ev.gmi_est.per_bit_mi[2],
-                "gmi": ev.gmi_est.gmi,
-                "penalty_pct": rate_penalty(ev.gmi_est.gmi, gmi_exact) if gmi_exact > 0 else None,
-                "ber": ev.ber_est.ber,
-                "n_samples": ev.gmi_est.n_samples,
-                "std_err": ev.gmi_est.std_error,
+                "mi_b1": ev.per_bit_mi[0],
+                "mi_b2": ev.per_bit_mi[1],
+                "mi_b3": ev.per_bit_mi[2],
+                "gmi": ev.gmi,
+                "penalty_pct": rate_penalty(ev.gmi, gmi_exact) if gmi_exact > 0 else None,
+                "ber": ev.ber,
+                "n_samples": ev.n_samples,
+                "std_err": ev.std_error,
                 "seed": seed,
             }
             for k in (1, 2, 3):
@@ -477,9 +487,9 @@ def run_ber_vs_rate(bench: Workbench) -> tuple[list[dict], dict]:
         {
             "rate_sps": 0.0,
             "demapper_id": "exact-static",
-            "errors": static.ber_est.errors,
-            "bits": static.ber_est.bits,
-            "ber": static.ber_est.ber,
+            "errors": static.errors,
+            "bits": static.bits,
+            "ber": static.ber,
             "seed": seed,
         }
     )

@@ -21,51 +21,6 @@ from .constellation import Constellation
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class GmiEstimate:
-    """Per-bit mutual information estimates and their average.
-
-    ``gmi`` is the arithmetic mean of ``per_bit_mi`` (per bit position,
-    so it lives on a [0, 1] scale for matched LLRs).  ``std_error`` is
-    the standard error of the gmi estimate, computed from the per-symbol
-    combined summand so inter-bit correlation is accounted for.  Note
-    that a per-bit estimate may dip slightly below zero for mismatched
-    LLR rules at very low SNR; that is a property of the metric, not an
-    estimation artifact.
-    """
-
-    per_bit_mi: tuple[float, float, float]
-    gmi: float
-    std_error: float
-    n_samples: int
-    per_bit_se: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not math.isclose(self.gmi, sum(self.per_bit_mi) / 3.0, rel_tol=0, abs_tol=1e-12):
-            raise ValueError("gmi must equal the mean of per_bit_mi")
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-
-
-@dataclass(frozen=True)
-class BerEstimate:
-    errors: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits <= 0 or self.errors < 0 or self.errors > self.bits:
-            raise ValueError(f"invalid error count {self.errors}/{self.bits}")
-
-    @property
-    def ber(self) -> float:
-        return self.errors / self.bits
-
-    @property
-    def std_error(self) -> float:
-        p = self.ber
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.bits)
-
-
 # exp(-700) is still a normal float64, so np.exp stays on its fast path
 _SOFTPLUS_CLAMP = 700.0
 
@@ -113,12 +68,51 @@ def energy_per_bit(power_w: float, symbol_rate: float, bits_per_symbol: int) -> 
 
 @dataclass(frozen=True)
 class DemapperEvaluation:
-    gmi_est: GmiEstimate
-    ber_est: BerEstimate
+    """One LLR rule's Monte Carlo estimates at one SNR.
+
+    ``gmi`` is the mean of the per-bit mutual information estimates
+    ``per_bit_mi`` (per bit position, so it lives on a [0, 1] scale for
+    matched LLRs), and ``std_error`` its standard error, computed from
+    the per-symbol combined summand so inter-bit correlation is
+    accounted for; ``per_bit_se`` are the per-bit standard errors.  A
+    per-bit estimate may dip slightly below zero for mismatched LLR
+    rules at very low SNR; that is a property of the metric, not an
+    estimation artifact.  ``errors`` counts the hard-decision errors
+    among the ``bits`` = 3 ``n_samples`` bit decisions.
+    """
+
+    per_bit_mi: tuple[float, float, float]
+    per_bit_se: tuple[float, float, float]
+    std_error: float
+    n_samples: int
+    errors: int
     # paired mean and std error of gmi(this) - gmi(reference), from the
     # per-symbol (reference summand - this summand); negative on a loss
     gmi_minus_ref: float | None = None
     gmi_minus_ref_se: float | None = None
+
+    def __post_init__(self):
+        if self.n_samples <= 0:
+            raise ValueError("n_samples must be positive")
+        if not 0 <= self.errors <= self.bits:
+            raise ValueError(f"invalid error count {self.errors}/{self.bits}")
+
+    @property
+    def gmi(self) -> float:
+        return sum(self.per_bit_mi) / 3.0
+
+    @property
+    def bits(self) -> int:
+        return 3 * self.n_samples
+
+    @property
+    def ber(self) -> float:
+        return self.errors / self.bits
+
+    @property
+    def ber_std_error(self) -> float:
+        p = self.ber
+        return math.sqrt(max(p * (1.0 - p), 0.0) / self.bits)
 
 
 def _eval_chunk(llr_fns, bits, r, ref_id):
@@ -205,22 +199,15 @@ def evaluate_demappers(
             totals[name] += t
 
     out = {}
-    n = n_symbols
     for name, t in totals.items():
-        mean, se = _mean_se(t[:5], t[5:10], n)
-        per_bit = tuple(float(1.0 - x) for x in mean[:3])
-        est = GmiEstimate(
-            per_bit_mi=per_bit,
-            gmi=sum(per_bit) / 3.0,
-            std_error=float(se[3]),
-            n_samples=n,
-            per_bit_se=tuple(float(x) for x in se[:3]),
-        )
-        ber = BerEstimate(errors=int(t[10]), bits=3 * n)
+        mean, se = _mean_se(t[:5], t[5:10], n_symbols)
         paired = ref_id is not None and name != ref_id  # gmi(this) - gmi(ref) = E[ref summand] - E[this summand]
         out[name] = DemapperEvaluation(
-            gmi_est=est,
-            ber_est=ber,
+            per_bit_mi=tuple(float(1.0 - x) for x in mean[:3]),
+            per_bit_se=tuple(float(x) for x in se[:3]),
+            std_error=float(se[3]),
+            n_samples=n_symbols,
+            errors=int(t[10]),
             gmi_minus_ref=float(mean[4]) if paired else None,
             gmi_minus_ref_se=float(se[4]) if paired else None,
         )

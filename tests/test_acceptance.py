@@ -4,7 +4,9 @@ Each test prints a single ``[acceptance]`` PASS/FAIL line (run with
 ``pytest -s`` to see them all).  Criteria 6 and 7 encode targets that
 the behavioral model family cannot meet; they are implemented exactly
 as stated and left failing, with the measured numbers in the assertion
-message.  The analysis lives in the project notes.
+message.  README's "Known failing criteria" gives the analysis behind
+each; criterion 6's comes from a knee sweep at that test's own seed,
+sample count, SNRs and streams.
 """
 
 import math
@@ -101,7 +103,7 @@ def test_criterion_03_maxlog_high_snr_penalty(c):
         },
         c, p, 1_000_000, SEED, ref_id="exact", stream=3,
     )
-    pen = rate_penalty(evals["maxlog"].gmi_est.gmi, evals["exact"].gmi_est.gmi)
+    pen = rate_penalty(evals["maxlog"].gmi, evals["exact"].gmi)
     ok = pen <= 0.5
     detail = f"max-log penalty at 16 dB = {pen:.4f}% (N=1e6 paired)"
     assert report(3, "max-log penalty at high SNR", ok, detail), detail
@@ -115,7 +117,7 @@ def test_criterion_04_exact_gmi_sanity(c):
         ev = evaluate_demappers(
             {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, 200_000, SEED, stream=100 + i
         )["exact"]
-        results.append(ev.gmi_est)
+        results.append(ev)
     in_range = all(0.0 <= g.gmi <= 1.0 + 3 * g.std_error for g in results)
     monotone = all(
         b.gmi >= a.gmi - 3 * math.hypot(a.std_error, b.std_error)
@@ -130,9 +132,9 @@ def test_criterion_04_exact_gmi_sanity(c):
         )["exact"]
         for k in (1, 2, 3):
             oracle = quadrature_mi_exact(k, c, p.sigma)
-            gap = abs(ev.gmi_est.per_bit_mi[k - 1] - oracle)
-            quad_ok &= gap <= 3 * ev.gmi_est.per_bit_se[k - 1]
-            quad_detail.append(f"{snr:g}dB b{k}: {gap / ev.gmi_est.per_bit_se[k - 1]:.2f}se")
+            gap = abs(ev.per_bit_mi[k - 1] - oracle)
+            quad_ok &= gap <= 3 * ev.per_bit_se[k - 1]
+            quad_detail.append(f"{snr:g}dB b{k}: {gap / ev.per_bit_se[k - 1]:.2f}se")
     ok = in_range and monotone and quad_ok
     detail = (
         f"range={in_range}, monotone={monotone}, quadrature gaps [{', '.join(quad_detail)}]"
@@ -159,10 +161,12 @@ def test_criterion_05_analog_beats_maxlog_window(c, mosfet):
 
 def test_criterion_06_mosfet_penalty_bound(c, mosfet):
     """Penalty of the default MOSFET model must stay within 3% for all
-    swept SNR at or above 3 dB.  The softplus-knee model family cannot
-    reach this bound at 3-5 dB for any knee in [1, 50] mV (measured
-    minimum about 3.3% at 3 dB); the criterion is kept as stated and
-    fails honestly with the default 25 mV knee."""
+    swept SNR at or above 3 dB.  The softplus-knee model family does
+    not reach this bound for any knee swept from 1 to 200 mV with this
+    test's settings: the smallest worst case over 3-16 dB is 4.46% at
+    38 mV, and the 3 dB penalty alone stays above 3.6%.  The criterion
+    is kept as stated and fails honestly with the default 25 mV knee
+    (5.11% at 3 dB)."""
     worst = (None, -1.0)
     for i, snr in enumerate(s for s in range(-2, 17) if s >= 3):
         p = from_snr_db(float(snr))
@@ -171,7 +175,7 @@ def test_criterion_06_mosfet_penalty_bound(c, mosfet):
             {"exact": lambda r, k: exact_llr(r, k, c, p), "analog-mosfet": analog_fn},
             c, p, 300_000, SEED, ref_id="exact", stream=400 + i,
         )
-        pen = rate_penalty(evals["analog-mosfet"].gmi_est.gmi, evals["exact"].gmi_est.gmi)
+        pen = rate_penalty(evals["analog-mosfet"].gmi, evals["exact"].gmi)
         if pen > worst[1]:
             worst = (snr, pen)
     ok = worst[1] <= 3.0
@@ -196,8 +200,8 @@ def test_criterion_07_hard_decision_equivalence(c):
             },
             c, p, 1_000_000, SEED, ref_id="exact", stream=500 + i,
         )
-        e_cnt = evals["exact"].ber_est.errors
-        m_cnt = evals["maxlog"].ber_est.errors
+        e_cnt = evals["exact"].errors
+        m_cnt = evals["maxlog"].errors
         ok &= e_cnt == m_cnt
         details.append(f"{snr:g}dB: exact={e_cnt}, maxlog={m_cnt}")
     detail = "; ".join(details)
@@ -240,13 +244,13 @@ def test_criterion_08_transient_shapes(c, imap, mosfet, bjt):
     analog_fn, _ = analog_llr_fns(mosfet, c, snr)
     static_m = evaluate_demappers(
         {"analog-mosfet": analog_fn}, c, p, n_symbols, SEED, stream=600
-    )["analog-mosfet"].ber_est
+    )["analog-mosfet"]
     flat_ok = True
     for row in sweep_m:
         if row["rate_sps"] > 3.5e8 + 1:
             continue
         se = math.hypot(
-            math.sqrt(row["ber"] * (1 - row["ber"]) / row["bits"]), static_m.std_error
+            math.sqrt(row["ber"] * (1 - row["ber"]) / row["bits"]), static_m.ber_std_error
         )
         flat_ok &= abs(row["ber"] - static_m.ber) <= 3 * se
     mono_ok = True

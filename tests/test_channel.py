@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from demapsim.channel import chunk_sizes, draw, from_snr_db, map_chunks, transmit, worker_rng
+from demapsim.channel import SNR_DB_MAX, chunk_sizes, draw, from_snr_db, map_chunks, transmit, worker_rng
 from demapsim.constellation import build_pam8
 from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr, maxlog_llr
@@ -40,6 +40,14 @@ class TestSnrConversion:
         with pytest.raises(ValueError, match="out of range"):
             from_snr_db(snr_db)
         assert 0.0 < from_snr_db(np.sign(snr_db) * 3000.0).sigma < np.inf
+
+    @pytest.mark.parametrize("edge", [-SNR_DB_MAX, SNR_DB_MAX])
+    def test_snr_bound_is_inclusive(self, edge):
+        assert SNR_DB_MAX == 3000.0
+        assert from_snr_db(edge).snr_db == edge
+        assert 0.0 < from_snr_db(np.nextafter(edge, 0.0)).sigma < np.inf
+        with pytest.raises(ValueError, match=r"out of range: \|snr_db\| must be at most 3000 dB"):
+            from_snr_db(np.nextafter(edge, 2.0 * edge))
 
 
 class TestTransmit:

@@ -195,7 +195,7 @@ class TestBerVsRate:
         rows = sweep_one([1e6], self.SNR, mosfet, maps, mosfet_params(), self.N, 99, c)
         static = evaluate_demappers(
             {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, self.N, 99, stream=5
-        )["exact"].ber_est
+        )["exact"]
         se = np.sqrt(static.ber * (1 - static.ber) / static.bits)
         assert abs(rows[0]["ber"] - static.ber) < 4 * se
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,17 +71,39 @@ class TestConfigValidation:
             ("snr_db", [0.0, float("nan")], "snr_db: nan is not finite"),
             ("dynamics", 5, "dynamics: must be a mapping"),
             ("demapper", {"vdd": 1.6, "r_span": 5.0, "analog-bjt": None}, "demapper.analog-bjt: must be a mapping"),
-            # 10**(snr_db/10) overflows, underflows to zero, or gives an infinite sigma
+            # beyond +-3000 dB an experiment overflows, or 10**(snr_db/10) itself does
             ("snr_db", [10.0, 4000.0], "snr_db: 4000.0 dB is out of range"),
             ("snr_db", [-4000.0], "snr_db: -4000.0 dB is out of range"),
             ("llr_snr_db", [-3100.0], "llr_snr_db: -3100.0 dB is out of range"),
             ("ber_snr_db", 4000.0, "ber_snr_db: 4000.0 dB is out of range"),
+            ("snr_db", [0.0, 3000.5], r"snr_db: 3000.5 dB is out of range: \|snr_db\| must be at most 3000 dB"),
+            ("llr_snr_db", [-3000.5], "llr_snr_db: -3000.5 dB is out of range"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
         cfg = small_config(**{field: value})
         with pytest.raises(ConfigError, match=fragment):
             validate_config(cfg, "rate-penalty")
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ("demapper.vdd", 0.2, "demapper.vdd, demapper.analog-bjt.isat_v: target needs 0.613 V of output swing"),
+            ("demapper.analog-bjt.isat_v", 5.0, "demapper.vdd, demapper.analog-bjt.isat_v: target needs 10.209 V"),
+            ("input_window_v", [0.3, 0.30000000000000004], "input_window_v, demapper.r_span: breakpoints must be"),
+        ],
+    )
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_unsynthesizable_demapper_is_a_config_error(self, path, value, message, experiment):
+        # every preset is synthesized, also one that modes does not list (here analog-bjt)
+        cfg = small_config(modes=["exact", "analog-mosfet"])
+        *parents, leaf = path.split(".")
+        block = cfg
+        for key in parents:
+            block = block[key]
+        block[leaf] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(cfg, experiment)
 
     @pytest.mark.parametrize(
         "path,value",
@@ -287,6 +310,18 @@ class TestOutputsAndDeterminism:
             assert empty == empty_high | {"penalty_pct"}
             assert np.isfinite(float(high[row["demapper_id"]]["penalty_pct"]))
 
+    @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0])
+    def test_every_experiment_finite_at_the_snr_bounds(self, tmp_path, snr_db):
+        # a RuntimeWarning is an error under pytest, so an overflow anywhere fails here too
+        for experiment, key in (("llr-curves", "llr_snr_db"), ("rate-penalty", "snr_db"), ("ber-vs-rate", "ber_snr_db")):
+            cfg = small_config(
+                **{key: snr_db if key == "ber_snr_db" else [snr_db]}, n_samples=2000, n_symbols=2000,
+                out=str(tmp_path / "edge.csv"),
+            )
+            _, *lines = run_experiment(experiment, cfg).read_text().splitlines()
+            cells = [cell for line in lines for cell in line.split(",")]
+            assert not {"nan", "inf", "-inf"} & set(cells), experiment
+
     def test_metadata_contains_calibration_and_demappers(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "c.csv"))
         path = run_experiment("llr-curves", cfg)
@@ -382,6 +417,12 @@ class TestCli:
     def test_one_list_of_experiments(self):
         assert set(cli.main.commands) == set(cli._FLAG_KEYS) == set(harness._RUNNERS) == set(EXPERIMENTS)
 
+    def test_version_reads_no_package_metadata(self):
+        # src/ also runs uninstalled, where there is no package metadata to read a version from
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "demap, version 0.1.0\n"
+
     def test_successful_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
@@ -446,7 +487,7 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a diagnostic, not an uncaught exception
         assert result.output.splitlines() == [f"Error: snr_db: {float(snr_db)} dB is out of range: "
-                                              "the noise sigma it gives is not finite and positive"]
+                                              "|snr_db| must be at most 3000 dB"]
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(

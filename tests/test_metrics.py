@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,7 @@ from demapsim import metrics
 from demapsim.channel import draw, from_snr_db
 from demapsim.constellation import build_pam8
 from demapsim.metrics import (
-    BerEstimate,
-    GmiEstimate,
+    DemapperEvaluation,
     energy_per_bit,
     evaluate_demappers,
     _softplus_,
@@ -54,7 +56,7 @@ class TestMiBitwise:
             {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, 200_000, 31
         )["exact"]
         oracle = quadrature_mi_exact(1, c, p.sigma)
-        assert abs(ev.gmi_est.per_bit_mi[0] - oracle) < 3 * ev.gmi_est.per_bit_se[0]
+        assert abs(ev.per_bit_mi[0] - oracle) < 3 * ev.per_bit_se[0]
 
 
 class TestSoftplus:
@@ -85,7 +87,7 @@ class TestScalarMetrics:
         p = from_snr_db(5.0)
         fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)}
         for ev in evaluate_demappers(fns, c, p, 20_000, 3).values():
-            assert ev.gmi_est.gmi == pytest.approx(sum(ev.gmi_est.per_bit_mi) / 3.0, abs=1e-15)
+            assert ev.gmi == pytest.approx(sum(ev.per_bit_mi) / 3.0, abs=1e-15)
 
     def test_rate_penalty(self):
         assert rate_penalty(1.0, 1.0) == 0.0
@@ -100,7 +102,7 @@ class TestScalarMetrics:
         ones = int(bits.sum())
         for llr, errors in ((0.0, bits.size - ones), (-1e-12, ones), (3.7, bits.size - ones)):
             ev = evaluate_demappers({"const": lambda r, k, llr=llr: np.full(r.size, llr)}, c, p, 1000, 9)
-            assert ev["const"].ber_est.errors == errors
+            assert ev["const"].errors == errors
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_llrs_name_the_rule(self, c, value):
@@ -117,21 +119,41 @@ class TestScalarMetrics:
             energy_per_bit(0.0, 1.0, 1)
 
 
-class TestEstimateTypes:
-    def test_gmi_must_be_mean(self):
-        with pytest.raises(ValueError):
-            GmiEstimate(per_bit_mi=(0.5, 0.5, 0.5), gmi=0.9, std_error=0.01, n_samples=10)
+def evaluation(n_samples=10, errors=0):
+    return DemapperEvaluation(
+        per_bit_mi=(0.5, 0.5, 0.5), per_bit_se=(0.01, 0.01, 0.01), std_error=0.01, n_samples=n_samples, errors=errors
+    )
 
+
+class TestEstimateTypes:
     @pytest.mark.parametrize("n", [0, -1])
     def test_sample_count_must_be_positive(self, n):
         with pytest.raises(ValueError, match="n_samples must be positive"):
-            GmiEstimate(per_bit_mi=(0.5, 0.5, 0.5), gmi=0.5, std_error=0.01, n_samples=n)
+            evaluation(n_samples=n)
 
     def test_ber_counts_validated(self):
         with pytest.raises(ValueError):
-            BerEstimate(errors=5, bits=3)
-        est = BerEstimate(errors=3, bits=12)
+            evaluation(n_samples=1, errors=5)
+        with pytest.raises(ValueError, match="invalid error count -1/30"):
+            evaluation(errors=-1)
+        est = evaluation(n_samples=4, errors=3)
         assert est.ber == 0.25
+
+    def test_fields_are_only_the_measured_state(self):
+        # gmi, bits and the BER figures are derived, never stored
+        assert [f.name for f in dataclasses.fields(DemapperEvaluation)] == [
+            "per_bit_mi", "per_bit_se", "std_error", "n_samples", "errors", "gmi_minus_ref", "gmi_minus_ref_se",
+        ]
+
+    def test_derived_values_are_the_plain_expressions(self, c):
+        p = from_snr_db(1.0)
+        fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)}
+        for ev in evaluate_demappers(fns, c, p, 5_000, 3, ref_id="exact").values():
+            assert ev.errors > 0
+            assert ev.gmi == sum(ev.per_bit_mi) / 3.0
+            assert ev.bits == 3 * ev.n_samples == 15_000
+            assert ev.ber == ev.errors / (3 * ev.n_samples)
+            assert ev.ber_std_error == math.sqrt(max(ev.ber * (1.0 - ev.ber), 0.0) / (3 * ev.n_samples))
 
     def test_matched_estimates_within_unit_range(self, c):
         # for exact LLRs the estimator stays in [0, 1 + 3 se] per bit
@@ -141,7 +163,7 @@ class TestEstimateTypes:
                 {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, 100_000, 17
             )["exact"]
             for k in range(3):
-                assert 0.0 <= ev.gmi_est.per_bit_mi[k] <= 1.0 + 3 * ev.gmi_est.std_error
+                assert 0.0 <= ev.per_bit_mi[k] <= 1.0 + 3 * ev.std_error
 
 
 class TestPairedEvaluation:
@@ -173,7 +195,7 @@ class TestPairedEvaluation:
             ref_id="exact",
         )
         ml = evals["maxlog"]
-        assert ml.gmi_minus_ref == pytest.approx(ml.gmi_est.gmi - evals["exact"].gmi_est.gmi, rel=0, abs=1e-12)
+        assert ml.gmi_minus_ref == pytest.approx(ml.gmi - evals["exact"].gmi, rel=0, abs=1e-12)
         assert ml.gmi_minus_ref < -5 * ml.gmi_minus_ref_se < 0  # max-log loses rate
 
     def test_missing_reference_rejected(self, c):
@@ -203,11 +225,11 @@ class TestPairedEvaluation:
             ev = evals[name]
             s = summands[name]
             sym = s.mean(axis=0)
-            np.testing.assert_allclose(ev.gmi_est.per_bit_mi, 1.0 - s.mean(axis=1), rtol=1e-9, atol=0)
-            np.testing.assert_allclose(ev.gmi_est.per_bit_se, s.std(axis=1) / np.sqrt(n), rtol=1e-9, atol=0)
-            assert ev.gmi_est.gmi == pytest.approx(1.0 - sym.mean(), rel=1e-9, abs=0)
-            assert ev.gmi_est.std_error == pytest.approx(sym.std() / np.sqrt(n), rel=1e-9, abs=0)
-            assert ev.ber_est.errors == sum(np.count_nonzero((fn(r, k) >= 0.0) != bits[:, k - 1]) for k in (1, 2, 3))
+            np.testing.assert_allclose(ev.per_bit_mi, 1.0 - s.mean(axis=1), rtol=1e-9, atol=0)
+            np.testing.assert_allclose(ev.per_bit_se, s.std(axis=1) / np.sqrt(n), rtol=1e-9, atol=0)
+            assert ev.gmi == pytest.approx(1.0 - sym.mean(), rel=1e-9, abs=0)
+            assert ev.std_error == pytest.approx(sym.std() / np.sqrt(n), rel=1e-9, abs=0)
+            assert ev.errors == sum(np.count_nonzero((fn(r, k) >= 0.0) != bits[:, k - 1]) for k in (1, 2, 3))
             if name == "exact":
                 assert ev.gmi_minus_ref is None and ev.gmi_minus_ref_se is None
             else:
@@ -224,8 +246,7 @@ class TestPairedEvaluation:
         a = evaluate_demappers(fns, c, p, 150_000, 7, ref_id="exact", n_workers=1, chunk_size=1 << 14)
         b = evaluate_demappers(fns, c, p, 150_000, 7, ref_id="exact", n_workers=4, chunk_size=1 << 14)
         for name in fns:
-            assert a[name].gmi_est == b[name].gmi_est
-            assert a[name].ber_est == b[name].ber_est
+            assert a[name] == b[name]
 
     def test_chunks_get_contiguous_bit_columns(self, c, monkeypatch):
         # each chunk's bits reach the reduction sorted by r, one contiguous column per bit
@@ -252,4 +273,4 @@ class TestPairedEvaluation:
         fns = {"exact": lambda r, k: exact_llr(r, k, c, p)}
         a = evaluate_demappers(fns, c, p, 20_000, 7, stream=0)
         b = evaluate_demappers(fns, c, p, 20_000, 7, stream=1)
-        assert a["exact"].gmi_est.gmi != b["exact"].gmi_est.gmi
+        assert a["exact"].gmi != b["exact"].gmi

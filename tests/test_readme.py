@@ -1,8 +1,14 @@
-"""The README's config example and library sketch work as written."""
+"""The README matches the code: its config example and library sketch work
+as written, and its CLI flag table and SNR range are the ones enforced."""
 
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from demapsim import cli
+from demapsim.channel import from_snr_db
 from demapsim.harness import EXPERIMENTS, load_config, validate_config
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -23,3 +29,31 @@ def test_config_example_validates(tmp_path):
 
 def test_library_sketch_runs():
     exec(readme_block("python"), {})
+
+
+def test_flag_table_matches_the_cli():
+    # one row per flag, one column per experiment: the key the flag sets there, or "rejected"
+    header, *rows = (
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in README.splitlines()
+        if line.startswith(("| flag ", "| `--"))
+    )
+    experiments = [cell.strip("`") for cell in header[1:]]
+    assert experiments == list(cli._FLAG_KEYS)
+    table = {}
+    for flag, *cells in rows:
+        for experiment, cell in zip(experiments, cells, strict=True):
+            match = re.fullmatch(r"`(\w+)`( \(.+\))?|rejected", cell)
+            assert match, f"{flag} {experiment}: {cell!r}"
+            table[flag.strip("`"), experiment] = match.group(1)
+    flags = {flag for keys in cli._FLAG_KEYS.values() for flag in keys}
+    assert table == {(flag, experiment): cli._FLAG_KEYS[experiment].get(flag) for flag in flags for experiment in experiments}
+
+
+def test_stated_snr_range_is_the_enforced_bound():
+    ((low, high),) = re.findall(r"lies\s+in\s+\[(-?[\d.]+),\s*(-?[\d.]+)\]\s+dB", README)
+    low, high = float(low), float(high)
+    assert from_snr_db(low).snr_db == low and from_snr_db(high).snr_db == high
+    for outside in (np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
+        with pytest.raises(ValueError, match="out of range"):
+            from_snr_db(outside)
