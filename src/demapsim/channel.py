@@ -31,9 +31,9 @@ class ChannelParams:
         return 10.0 ** (self.snr_db / 10.0)
 
 
-# every experiment stays finite from about -3073 to +3054 dB: past those
-# the exact LLR or the calibration overflows
-SNR_DB_MAX = 3000.0
+# a calibrated LLR of the wrong sign grows like the SNR, and its square in the
+# MI sums overflows above about +1538 dB for a soft knee or a narrow window
+SNR_DB_MAX = 1000.0
 
 
 def from_snr_db(snr_db: float) -> ChannelParams:

@@ -34,7 +34,6 @@ SETTLED_CHUNK_SYMBOLS = 1 << 14
 class DynamicsParams:
     tau: float
     t_plateau: float
-    samples_per_symbol: int = 16
     sample_fraction: float = SAMPLE_FRACTION_DEFAULT
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class DynamicsParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.t_plateau < 0:
             raise ValueError(f"t_plateau must be non-negative, got {self.t_plateau}")
-        if self.samples_per_symbol < 2:
-            raise ValueError("samples_per_symbol must be at least 2")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
 
@@ -61,14 +58,6 @@ class DynamicsParams:
 class TransientTrace:
     time: np.ndarray
     vout: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.time, dtype=float)
-        v = np.asarray(self.vout, dtype=float)
-        if t.shape != v.shape:
-            raise ValueError("time and vout must have equal length")
-        object.__setattr__(self, "time", t)
-        object.__setattr__(self, "vout", v)
 
 
 def _exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
@@ -90,8 +79,9 @@ def simulate_transient(
     d: AnalogDemapper,
     k: int,
     dp: DynamicsParams,
+    samples_per_symbol: int = 16,
 ) -> TransientTrace:
-    """Uniformly sampled output-voltage trace for a symbol sequence.
+    """Output-voltage trace of a symbol sequence, ``samples_per_symbol`` steps per symbol.
 
     The trace starts settled on the first symbol.  At each boundary the
     static target switches; if the transition exits saturation the
@@ -104,11 +94,13 @@ def simulate_transient(
         raise ValueError("symbol sequence must be non-empty")
     if not symbol_rate > 0:
         raise ValueError(f"symbol rate must be positive, got {symbol_rate}")
-    dt = 1.0 / symbol_rate / dp.samples_per_symbol
+    if samples_per_symbol < 2:
+        raise ValueError("samples_per_symbol must be at least 2")
+    dt = 1.0 / symbol_rate / samples_per_symbol
     vin_seq = np.asarray(d.input_map(r_seq), dtype=float)
     targets = demap_static(vin_seq, d, k)
     flags = _exit_flags(vin_seq, d.cells_for_bit(k))
-    steps = np.arange(1, dp.samples_per_symbol + 1) * dt
+    steps = np.arange(1, samples_per_symbol + 1) * dt
     vout = np.concatenate(([targets[0]], _settle(targets, flags, symbol_rate, dp, steps).ravel()))
     time = np.arange(vout.size) * dt
     return TransientTrace(time=time, vout=vout)

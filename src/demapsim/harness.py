@@ -51,6 +51,9 @@ from .metrics import evaluate_demappers, rate_penalty
 from .reference import exact_llr, maxlog_llr
 
 MODES = ("exact", "maxlog", *PRESETS)
+# below about 1.5e-8 V of input window (at high SNR) the cells' output is flat on
+# the calibration grid and no output map fits; a fixed bound 60x above needs no grid
+INPUT_WINDOW_MIN_V = 1e-6
 
 
 class ConfigError(ValueError):
@@ -169,7 +172,10 @@ def _reject_unknown_keys(cfg: dict, known: dict, prefix: str = "") -> None:
 
 def validate_config(cfg: dict, experiment: str) -> dict:
     """Check every field, whichever of them ``experiment`` reads; raise
-    ConfigError with the offending field name on the first problem."""
+    ConfigError with the offending field name on the first problem.  An SNR
+    beyond ``channel.SNR_DB_MAX`` or an ``input_window_v`` narrower than
+    ``INPUT_WINDOW_MIN_V`` is rejected, since a run would overflow or fail
+    to calibrate; every analog preset is synthesized, listed or not."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
     _reject_unknown_keys(cfg, DEFAULT_CONFIG)
@@ -231,6 +237,8 @@ def validate_config(cfg: dict, experiment: str) -> dict:
                 build_demapper(c, imap, mode_id, knee_eps=knee, isat_v=isat, r_span=r_span, vdd=supply)
             except ValueError as exc:
                 raise ConfigError(f"{fields}: {exc}") from None
+    if vmax < vmin + INPUT_WINDOW_MIN_V:  # after synthesis, which names a window too narrow for the kinks
+        raise ConfigError(f"input_window_v: [{vmin!r}, {vmax!r}] is narrower than {INPUT_WINDOW_MIN_V:g} V")
     return cfg
 
 
@@ -271,7 +279,6 @@ class Workbench:
                     tau=float(dyn["tau_s"]),
                     t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
                     sample_fraction=float(dyn["sample_fraction"]),
-                    samples_per_symbol=int(cfg["transitions"]["samples_per_symbol"]),
                 )
         return cls(c=c, imap=imap, demappers=demappers, dynamics=dynamics, cfg=cfg)
 
@@ -511,12 +518,12 @@ def run_transitions(bench: Workbench) -> tuple[list[dict], dict]:
         "+3d_to_+7d": (3.0 * d_scale, 7.0 * d_scale),
         "-7d_to_-5d": (-7.0 * d_scale, -5.0 * d_scale),
     }
-    rate = float(cfg["transitions"]["symbol_rate_sps"])
+    rate, steps = float(cfg["transitions"]["symbol_rate_sps"]), int(cfg["transitions"]["samples_per_symbol"])
     segments = []
     for mode_id, demapper in bench.demappers.items():
         dp = bench.dynamics[mode_id]
         for name, (r_a, r_b) in transitions.items():
-            traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp) for k in (1, 2, 3)]
+            traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp, steps) for k in (1, 2, 3)]
             segments.append(
                 {
                     "demapper_id": mode_id,

@@ -179,7 +179,9 @@ def loop_sampled_outputs(targets, flags, symbol_rate: float, dp) -> np.ndarray:
     return out
 
 
-def loop_simulate_transient(symbol_seq, symbol_rate: float, d: AnalogDemapper, k: int, dp) -> TransientTrace:
+def loop_simulate_transient(
+    symbol_seq, symbol_rate: float, d: AnalogDemapper, k: int, dp, samples_per_symbol: int = 16
+) -> TransientTrace:
     """Settling trace by an explicit per-step loop."""
     r_seq = np.asarray(symbol_seq, dtype=float)
     if r_seq.size == 0:
@@ -187,13 +189,13 @@ def loop_simulate_transient(symbol_seq, symbol_rate: float, d: AnalogDemapper, k
     if not symbol_rate > 0:
         raise ValueError(f"symbol rate must be positive, got {symbol_rate}")
     period = 1.0 / symbol_rate
-    dt = period / dp.samples_per_symbol
+    dt = period / samples_per_symbol
     vin_seq = np.asarray(d.input_map(r_seq), dtype=float)
     targets = demap_static(vin_seq, d, k)
     cells = d.cells_for_bit(k)
     flags = _exit_flags(vin_seq, cells)
 
-    n_steps = r_seq.size * dp.samples_per_symbol
+    n_steps = r_seq.size * samples_per_symbol
     time = np.arange(n_steps + 1) * dt
     vout = np.empty(n_steps + 1)
     v = float(targets[0])
@@ -201,8 +203,8 @@ def loop_simulate_transient(symbol_seq, symbol_rate: float, d: AnalogDemapper, k
     plateau_until = 0.0
     for step in range(n_steps):
         t0 = step * dt
-        sym = step // dp.samples_per_symbol
-        if step % dp.samples_per_symbol == 0 and flags[sym]:
+        sym = step // samples_per_symbol
+        if step % samples_per_symbol == 0 and flags[sym]:
             plateau_until = t0 + dp.t_plateau
         relax = (t0 + dt) - max(t0, plateau_until)
         if relax > 0.0:

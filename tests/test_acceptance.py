@@ -211,8 +211,8 @@ def test_criterion_07_hard_decision_equivalence(c):
 def test_criterion_08_transient_shapes(c, imap, mosfet, bjt):
     snr = 10.0
     p = from_snr_db(snr)
-    dp_bjt = DynamicsParams.for_mode("analog-bjt", samples_per_symbol=100)
-    dp_mos = DynamicsParams.for_mode("analog-mosfet", samples_per_symbol=100)
+    dp_bjt = DynamicsParams.for_mode("analog-bjt")
+    dp_mos = DynamicsParams.for_mode("analog-mosfet")
     rate = 1e8
     dt = 1.0 / rate / 100
 
@@ -226,11 +226,11 @@ def test_criterion_08_transient_shapes(c, imap, mosfet, bjt):
                 break
         return n
 
-    up = flat_run(simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, bjt, 1, dp_bjt))
-    low = flat_run(simulate_transient([-7 * c.d, -5 * c.d, -5 * c.d], rate, bjt, 1, dp_bjt))
+    up = flat_run(simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, bjt, 1, dp_bjt, 100))
+    low = flat_run(simulate_transient([-7 * c.d, -5 * c.d, -5 * c.d], rate, bjt, 1, dp_bjt, 100))
     plateau_ok = abs(up - dp_bjt.t_plateau / dt) <= 1.0 and low <= 1
 
-    tr = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, mosfet, 1, dp_mos)
+    tr = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, mosfet, 1, dp_mos, 100)
     final = tr.vout[-1]
     settle_ok = abs(tr.vout[100 + 20] - final) <= 0.01 * abs(tr.vout[100] - final)
 

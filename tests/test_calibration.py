@@ -120,6 +120,20 @@ class TestOutputFit:
         fit0, _, _ = fits[0.0]
         assert fit_residual_rms(fit0, vout10, ref10) > fit_residual_rms(fit10, vout10, ref10)
 
+    @pytest.mark.parametrize("mode", ["analog-bjt", "analog-mosfet"])
+    def test_calibrated_llr_does_not_depend_on_isat(self, c, imap, mode):
+        # isat_v scales every cell's gain and ceiling alike, and the affine fit absorbs the scale
+        p = from_snr_db(3.0)
+        grid = calibration_grid(c, p.sigma)
+        r = np.linspace(-2.0, 2.0, 401)
+        llrs = []
+        for isat in (0.003, 0.03, 0.3):
+            dm = build_demapper(c, imap, mode, isat_v=isat)
+            fits = [fit_output_map(k, demap_static(imap(grid), dm, k), exact_llr(grid, k, c, p), grid) for k in (1, 2, 3)]
+            llrs.append(np.array([fits[k - 1](demap_static(imap(r), dm, k)) for k in (1, 2, 3)]))
+        for llr in llrs[1:]:
+            assert np.max(np.abs(llr - llrs[0])) <= 1e-10 * np.max(np.abs(llrs[0]))
+
     def test_constant_curve_rejected(self, c):
         p = from_snr_db(10.0)
         grid = np.linspace(-2, 2, 101)

@@ -39,14 +39,14 @@ class TestSnrConversion:
     def test_sigma_must_be_finite_and_positive(self, snr_db):
         with pytest.raises(ValueError, match="out of range"):
             from_snr_db(snr_db)
-        assert 0.0 < from_snr_db(np.sign(snr_db) * 3000.0).sigma < np.inf
+        assert 0.0 < from_snr_db(np.sign(snr_db) * 1000.0).sigma < np.inf
 
     @pytest.mark.parametrize("edge", [-SNR_DB_MAX, SNR_DB_MAX])
     def test_snr_bound_is_inclusive(self, edge):
-        assert SNR_DB_MAX == 3000.0
+        assert SNR_DB_MAX == 1000.0
         assert from_snr_db(edge).snr_db == edge
         assert 0.0 < from_snr_db(np.nextafter(edge, 0.0)).sigma < np.inf
-        with pytest.raises(ValueError, match=r"out of range: \|snr_db\| must be at most 3000 dB"):
+        with pytest.raises(ValueError, match=r"out of range: \|snr_db\| must be at most 1000 dB"):
             from_snr_db(np.nextafter(edge, 2.0 * edge))
 
 

@@ -80,8 +80,6 @@ class TestParams:
         with pytest.raises(ValueError):
             DynamicsParams(tau=1e-9, t_plateau=-1.0)
         with pytest.raises(ValueError):
-            DynamicsParams(tau=1e-9, t_plateau=0.0, samples_per_symbol=1)
-        with pytest.raises(ValueError):
             DynamicsParams(tau=1e-9, t_plateau=0.0, sample_fraction=1.5)
 
 
@@ -109,22 +107,22 @@ class TestSaturationExit:
 
 class TestTransient:
     def test_slow_rate_reaches_static_targets(self, c, bjt):
-        dp = bjt_params(samples_per_symbol=64)
+        sps = 64
         seq = c.d * np.array([3.0, 7.0, -7.0, -5.0, 1.0])
         rate = 1e6  # period 1 us >> 5 tau + plateau
-        trace = simulate_transient(seq, rate, bjt, 1, dp)
+        trace = simulate_transient(seq, rate, bjt, 1, bjt_params(), sps)
         vin = np.asarray(bjt.input_map(seq))
         targets = demap_static(vin, bjt, 1)
-        sampled = trace.vout[np.arange(1, seq.size + 1) * dp.samples_per_symbol]
+        sampled = trace.vout[np.arange(1, seq.size + 1) * sps]
         np.testing.assert_allclose(sampled, targets, atol=1e-6)
 
     def test_plateau_present_on_saturation_exit(self, c, bjt):
-        dp = bjt_params(samples_per_symbol=100)
+        dp, sps = bjt_params(), 100
         rate = 1e8
-        trace = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, bjt, 1, dp)
-        dt = 1.0 / rate / dp.samples_per_symbol
+        trace = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, bjt, 1, dp, sps)
+        dt = 1.0 / rate / sps
         # flat run right after the boundary at one symbol period
-        post = np.abs(np.diff(trace.vout))[dp.samples_per_symbol:]
+        post = np.abs(np.diff(trace.vout))[sps:]
         flat_steps = 0
         for step in post:
             if step < 1e-15:
@@ -135,9 +133,8 @@ class TestTransient:
         assert abs(flat_steps - expected) <= 1.0
 
     def test_no_plateau_without_saturation_exit(self, c, bjt):
-        dp = bjt_params(samples_per_symbol=100)
-        trace = simulate_transient([-7 * c.d, -5 * c.d, -5 * c.d], 1e8, bjt, 1, dp)
-        post = np.abs(np.diff(trace.vout))[dp.samples_per_symbol:]
+        trace = simulate_transient([-7 * c.d, -5 * c.d, -5 * c.d], 1e8, bjt, 1, bjt_params(), 100)
+        post = np.abs(np.diff(trace.vout))[100:]
         flat_steps = 0
         for step in post:
             if step < 1e-15:
@@ -147,10 +144,9 @@ class TestTransient:
         assert flat_steps <= 1
 
     def test_mosfet_settles_within_one_percent_by_2ns(self, c, mosfet):
-        dp = mosfet_params(samples_per_symbol=100)
         rate = 1e8
-        trace = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, mosfet, 1, dp)
-        boundary = dp.samples_per_symbol
+        trace = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], rate, mosfet, 1, mosfet_params(), 100)
+        boundary = 100
         at_2ns = boundary + 20  # 2 ns at 0.1 ns per step
         final = trace.vout[-1]
         step_size = abs(trace.vout[boundary] - final)
@@ -164,9 +160,9 @@ class TestTransient:
         np.testing.assert_array_equal(full.vout[: part.vout.size], part.vout)
 
     def test_static_consistency_with_instant_settling(self, c, mosfet):
-        dp = DynamicsParams(tau=1e-18, t_plateau=0.0, samples_per_symbol=8)
+        dp = DynamicsParams(tau=1e-18, t_plateau=0.0)
         seq = c.d * np.array([3.0, -1.0, 7.0])
-        trace = simulate_transient(seq, 5e8, mosfet, 2, dp)
+        trace = simulate_transient(seq, 5e8, mosfet, 2, dp, 8)
         targets = demap_static(np.asarray(mosfet.input_map(seq)), mosfet, 2)
         sampled = trace.vout[np.arange(1, 4) * 8 - 1]
         np.testing.assert_allclose(sampled, np.asarray(targets), atol=1e-9)
@@ -180,9 +176,10 @@ class TestTransient:
         with pytest.raises(ValueError, match="symbol rate must be positive"):
             simulate_transient([0.0, c.d], rate, bjt, 1, bjt_params())
 
-    def test_trace_lengths_must_match(self):
-        with pytest.raises(ValueError, match="equal length"):
-            dynamics.TransientTrace(time=np.zeros(3), vout=np.zeros(2))
+    @pytest.mark.parametrize("sps", [1, 0, -4])
+    def test_fewer_than_two_samples_per_symbol_rejected(self, c, bjt, sps):
+        with pytest.raises(ValueError, match="samples_per_symbol must be at least 2"):
+            simulate_transient([0.0, c.d], 1e8, bjt, 1, bjt_params(), sps)
 
 
 class TestBerVsRate:
@@ -335,7 +332,7 @@ class TestSampledOutputs:
         """The docstring's claim: the samples of ``simulate_transient`` at
         step ``round(fraction * sps)`` of each symbol."""
         d = build_demapper(c, imap, preset)
-        dp = DynamicsParams.for_mode(preset, samples_per_symbol=sps, sample_fraction=fraction)
+        dp = DynamicsParams.for_mode(preset, sample_fraction=fraction)
         at = np.arange(120) * sps + round(fraction * sps)
         rng = np.random.default_rng(sps)
         for k in (1, 2, 3):
@@ -344,7 +341,7 @@ class TestSampledOutputs:
             targets = demap_static(vin, d, k)
             flags = _exit_flags(vin, d.cells_for_bit(k))
             for rate in DEFAULT_RATES + [1e9]:
-                trace = simulate_transient(seq, rate, d, k, dp)
+                trace = simulate_transient(seq, rate, d, k, dp, sps)
                 got = sampled_outputs(targets, flags, rate, dp)
                 np.testing.assert_allclose(got, trace.vout[at], rtol=0.0, atol=1e-12)
 
@@ -366,9 +363,9 @@ class TestTransientEngine:
 
     ATOL = 1e-12
 
-    def assert_matches_loop(self, seq, rate, d, k, dp):
-        got = simulate_transient(seq, rate, d, k, dp)
-        want = loop_simulate_transient(seq, rate, d, k, dp)
+    def assert_matches_loop(self, seq, rate, d, k, dp, samples_per_symbol=16):
+        got = simulate_transient(seq, rate, d, k, dp, samples_per_symbol)
+        want = loop_simulate_transient(seq, rate, d, k, dp, samples_per_symbol)
         np.testing.assert_array_equal(got.time, want.time)
         np.testing.assert_allclose(got.vout, want.vout, rtol=0.0, atol=self.ATOL)
 
@@ -397,16 +394,16 @@ class TestTransientEngine:
 
     def test_plateau_ends_within_a_step(self, c, bjt):
         # 1.234 ns ends 34% into the 13th 0.1 ns step after the boundary
-        dp = bjt_params(t_plateau=1.234e-9, samples_per_symbol=100)
+        dp = bjt_params(t_plateau=1.234e-9)
         seq = c.d * np.array([3.0, 7.0, 7.0, -7.0, 5.0])
         for k in (1, 2, 3):
-            self.assert_matches_loop(seq, 1e8, bjt, k, dp)
+            self.assert_matches_loop(seq, 1e8, bjt, k, dp, 100)
 
     @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     def test_two_samples_per_symbol(self, c, imap, preset):
         d = build_demapper(c, imap, preset)
-        dp = DynamicsParams.for_mode(preset, samples_per_symbol=2)
+        dp = DynamicsParams.for_mode(preset)
         seq = self.noisy_symbols(c, 80, seed=2)
         for k in (1, 2, 3):
             for rate in (5e7, 3e8, 1e9):
-                self.assert_matches_loop(seq, rate, d, k, dp)
+                self.assert_matches_loop(seq, rate, d, k, dp, 2)

@@ -7,9 +7,11 @@ from click.testing import CliRunner
 
 from demapsim import cli, harness
 from demapsim.analog import demapper_from_dict, demap_static
+from demapsim.channel import SNR_DB_MAX
 from demapsim.cli import main
 from demapsim.harness import (
     EXPERIMENTS,
+    INPUT_WINDOW_MIN_V,
     ConfigError,
     LLR_FIELDS,
     METRIC_FIELDS,
@@ -71,13 +73,13 @@ class TestConfigValidation:
             ("snr_db", [0.0, float("nan")], "snr_db: nan is not finite"),
             ("dynamics", 5, "dynamics: must be a mapping"),
             ("demapper", {"vdd": 1.6, "r_span": 5.0, "analog-bjt": None}, "demapper.analog-bjt: must be a mapping"),
-            # beyond +-3000 dB an experiment overflows, or 10**(snr_db/10) itself does
+            # beyond +-1000 dB an experiment may overflow, or 10**(snr_db/10) itself does
             ("snr_db", [10.0, 4000.0], "snr_db: 4000.0 dB is out of range"),
             ("snr_db", [-4000.0], "snr_db: -4000.0 dB is out of range"),
             ("llr_snr_db", [-3100.0], "llr_snr_db: -3100.0 dB is out of range"),
             ("ber_snr_db", 4000.0, "ber_snr_db: 4000.0 dB is out of range"),
-            ("snr_db", [0.0, 3000.5], r"snr_db: 3000.5 dB is out of range: \|snr_db\| must be at most 3000 dB"),
-            ("llr_snr_db", [-3000.5], "llr_snr_db: -3000.5 dB is out of range"),
+            ("snr_db", [0.0, 1000.5], r"snr_db: 1000.5 dB is out of range: \|snr_db\| must be at most 1000 dB"),
+            ("llr_snr_db", [-1000.5], "llr_snr_db: -1000.5 dB is out of range"),
         ],
     )
     def test_field_errors_name_the_field(self, field, value, fragment):
@@ -91,6 +93,8 @@ class TestConfigValidation:
             ("demapper.vdd", 0.2, "demapper.vdd, demapper.analog-bjt.isat_v: target needs 0.613 V of output swing"),
             ("demapper.analog-bjt.isat_v", 5.0, "demapper.vdd, demapper.analog-bjt.isat_v: target needs 10.209 V"),
             ("input_window_v", [0.3, 0.30000000000000004], "input_window_v, demapper.r_span: breakpoints must be"),
+            # synthesizes, but its cells' output is flat on the calibration grid
+            ("input_window_v", [0.3, 0.3 + 1e-9], "input_window_v: [0.3, 0.300000001] is narrower than 1e-06 V"),
         ],
     )
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -310,15 +314,24 @@ class TestOutputsAndDeterminism:
             assert empty == empty_high | {"penalty_pct"}
             assert np.isfinite(float(high[row["demapper_id"]]["penalty_pct"]))
 
-    @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0])
-    def test_every_experiment_finite_at_the_snr_bounds(self, tmp_path, snr_db):
+    @pytest.mark.parametrize(
+        "demapper",
+        [
+            pytest.param({}, id="default"),
+            # a wrong-sign calibrated LLR grows like the SNR; these overflowed its square from +1538 dB
+            pytest.param({"demapper": {"analog-mosfet": {"knee_eps_v": 0.2}}}, id="soft-knee"),
+            pytest.param({"input_window_v": [0.04, 0.14]}, id="narrow-window"),
+            pytest.param({"input_window_v": [0.3, 0.3 + INPUT_WINDOW_MIN_V]}, id="narrowest-window"),
+        ],
+    )
+    @pytest.mark.parametrize("snr_db", [-SNR_DB_MAX, SNR_DB_MAX])
+    def test_every_experiment_finite_at_the_snr_bounds(self, tmp_path, snr_db, demapper):
         # a RuntimeWarning is an error under pytest, so an overflow anywhere fails here too
-        for experiment, key in (("llr-curves", "llr_snr_db"), ("rate-penalty", "snr_db"), ("ber-vs-rate", "ber_snr_db")):
-            cfg = small_config(
-                **{key: snr_db if key == "ber_snr_db" else [snr_db]}, n_samples=2000, n_symbols=2000,
-                out=str(tmp_path / "edge.csv"),
-            )
-            _, *lines = run_experiment(experiment, cfg).read_text().splitlines()
+        keys = {"llr-curves": "llr_snr_db", "rate-penalty": "snr_db", "ber-vs-rate": "ber_snr_db", "transitions": None}
+        for experiment, key in keys.items():
+            snrs = {key: snr_db if key == "ber_snr_db" else [snr_db]} if key else {}
+            cfg = load_config(overrides={**SMALL, **snrs, **demapper, "n_samples": 2000, "n_symbols": 2000})
+            _, *lines = run_experiment(experiment, cfg, tmp_path / "edge.csv").read_text().splitlines()
             cells = [cell for line in lines for cell in line.split(",")]
             assert not {"nan", "inf", "-inf"} & set(cells), experiment
 
@@ -412,6 +425,15 @@ class TestWorkbench:
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_settling_parameters_ignore_the_trace_sample_count(self):
+        # the trace sample count draws a trace; it is not part of a mode's settling model
+        benches = [
+            Workbench.from_config(small_config(transitions={"symbol_rate_sps": 1e8, "samples_per_symbol": spsym}))
+            for spsym in (20, 100)
+        ]
+        assert benches[0].dynamics == benches[1].dynamics
+        assert set(benches[0].dynamics) == {"analog-bjt", "analog-mosfet"}
+
 
 class TestCli:
     def test_one_list_of_experiments(self):
@@ -487,7 +509,7 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a diagnostic, not an uncaught exception
         assert result.output.splitlines() == [f"Error: snr_db: {float(snr_db)} dB is out of range: "
-                                              "|snr_db| must be at most 3000 dB"]
+                                              "|snr_db| must be at most 1000 dB"]
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(

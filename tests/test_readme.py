@@ -1,5 +1,6 @@
 """The README matches the code: its config example and library sketch work
-as written, and its CLI flag table and SNR range are the ones enforced."""
+as written, and its CLI flag table, SNR range and input-window bound are
+the ones enforced."""
 
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from demapsim import cli
 from demapsim.channel import from_snr_db
-from demapsim.harness import EXPERIMENTS, load_config, validate_config
+from demapsim.harness import EXPERIMENTS, INPUT_WINDOW_MIN_V, ConfigError, load_config, validate_config
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -57,3 +58,13 @@ def test_stated_snr_range_is_the_enforced_bound():
     for outside in (np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
         with pytest.raises(ValueError, match="out of range"):
             from_snr_db(outside)
+
+
+def test_stated_window_width_is_the_enforced_bound():
+    (width,) = re.findall(r"window\s+is\s+at\s+least\s+([\d.e+-]+)\s+V\s+wide", README)
+    assert float(width) == INPUT_WINDOW_MIN_V
+    vmin = 0.3
+    validate_config(load_config(overrides={"input_window_v": [vmin, vmin + INPUT_WINDOW_MIN_V]}), "llr-curves")
+    narrower = np.nextafter(vmin + INPUT_WINDOW_MIN_V, -np.inf)
+    with pytest.raises(ConfigError, match="input_window_v: .* is narrower than"):
+        validate_config(load_config(overrides={"input_window_v": [vmin, narrower]}), "llr-curves")
