@@ -69,7 +69,7 @@ def _experiment_command(experiment: str, help_text: str):
             overrides[key] = value
         try:
             cfg = load_config(config_path, overrides)
-            path = run_experiment(experiment, cfg, out_path)
+            path = run_experiment(experiment, cfg)
         except (ConfigError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
         click.echo(f"wrote {path} and {path}.meta.json")

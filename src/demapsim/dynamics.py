@@ -37,10 +37,10 @@ class DynamicsParams:
     sample_fraction: float = SAMPLE_FRACTION_DEFAULT
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.t_plateau < 0:
-            raise ValueError(f"t_plateau must be non-negative, got {self.t_plateau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0 <= self.t_plateau < math.inf:
+            raise ValueError(f"t_plateau must be non-negative and finite, got {self.t_plateau}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
 
@@ -92,8 +92,10 @@ def simulate_transient(
     r_seq = np.asarray(symbol_seq, dtype=float)
     if r_seq.size == 0:
         raise ValueError("symbol sequence must be non-empty")
-    if not symbol_rate > 0:
-        raise ValueError(f"symbol rate must be positive, got {symbol_rate}")
+    if not 0 < symbol_rate < math.inf:
+        raise ValueError(f"symbol rate must be positive and finite, got {symbol_rate}")
+    if not isinstance(samples_per_symbol, (int, np.integer)):
+        raise ValueError(f"samples_per_symbol must be an integer, got {samples_per_symbol!r}")
     if samples_per_symbol < 2:
         raise ValueError("samples_per_symbol must be at least 2")
     dt = 1.0 / symbol_rate / samples_per_symbol
@@ -204,13 +206,13 @@ def ber_vs_rate(
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be positive")
+    rates = [float(rate) for rate in rates]
+    if not all(0 < rate < math.inf for rate in rates):
+        raise ValueError(f"symbol rates must be positive and finite, got {rates}")
     params = channel.from_snr_db(snr_db)
 
     rows = {mode_id: [] for mode_id in sweeps}
     for rate_index, rate in enumerate(rates):
-        if not rate > 0:
-            raise ValueError(f"symbol rates must be positive, got {rate}")
-
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
             order = np.argsort(r)  # one sort for every demapper and bit
@@ -219,7 +221,7 @@ def ber_vs_rate(
         per_chunk = channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers)
         for mode_rows, errors in zip(rows.values(), map(sum, zip(*per_chunk))):
             mode_rows.append(
-                {"rate_sps": float(rate), "errors": errors, "bits": 3 * n_symbols, "ber": errors / (3 * n_symbols)}
+                {"rate_sps": rate, "errors": errors, "bits": 3 * n_symbols, "ber": errors / (3 * n_symbols)}
             )
     return rows
 

@@ -9,7 +9,9 @@ so any row can be re-derived from the metadata alone.  Identical
 configuration and seed give byte-identical tables regardless of the
 worker count.  Runners return the table as segments (see
 ``write_csv``): one row dict per row for the short tables, one segment
-of array columns per curve or trace.
+of array columns per curve or trace; ``run_experiment`` adds the
+``seed`` column to each.  ``Workbench.evaluate`` runs the Monte Carlo
+evaluations with the run's seed, worker count and chunk size.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def validate_config(cfg: dict, experiment: str) -> dict:
         raise ConfigError(f"experiment: unknown id {experiment!r}; expected one of {EXPERIMENTS}")
     _reject_unknown_keys(cfg, DEFAULT_CONFIG)
     _require_int(cfg.get("seed"), "seed", 0)
-    if cfg.get("out") is not None and not isinstance(cfg["out"], str):
-        raise ConfigError(f"out: {cfg['out']!r} is neither null nor a path string")
+    if cfg.get("out") is not None and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError(f"out: {cfg['out']!r} is neither null nor a non-empty path string")
     modes = cfg.get("modes")
     if not isinstance(modes, (list, tuple)) or not modes:
         raise ConfigError("modes: must be a non-empty list")
@@ -308,6 +310,15 @@ class Workbench:
         llr, params = {"exact": exact_llr, "maxlog": maxlog_llr}[mode_id], from_snr_db(snr_db)
         return lambda r, k: llr(r, k, self.c, params)
 
+    def evaluate(self, mode_ids, snr_db: float, n: int, stream: int, ref_id: str | None = None) -> dict:
+        """``evaluate_demappers`` on the rules of ``mode_ids`` at ``snr_db``,
+        with the run's seed, worker count and chunk size."""
+        cfg = self.cfg
+        return evaluate_demappers(
+            {m: self.rule(m, snr_db) for m in mode_ids}, self.c, from_snr_db(snr_db), n, cfg["seed"],
+            ref_id=ref_id, stream=stream, n_workers=cfg["n_workers"], chunk_size=cfg["chunk_size"],
+        )
+
     def meta(self) -> dict:
         """Every synthesized demapper and, if any SNR was calibrated, the
         calibration constants per SNR."""
@@ -405,7 +416,6 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
     vmin, vmax = (float(v) for v in cfg["input_window_v"])
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
     r = np.asarray(bench.imap.inverse(vin))
-    seed = cfg["seed"]
     segments = []
     for snr_db in (float(s) for s in cfg["llr_snr_db"]):
         output_maps = bench.calibrate(snr_db)
@@ -421,7 +431,6 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
                     "llr": fn(r, k),
                     "gamma": maps[k].scale if maps else None,
                     "zeta": maps[k].offset if maps else None,
-                    "seed": seed,
                 }
                 for k in (1, 2, 3)
             ]
@@ -431,22 +440,11 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
 def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
     """GMI, rate penalty, std error and hard-decision BER per SNR and mode."""
     cfg = bench.cfg
-    seed = cfg["seed"]
     rows = []
     for snr_index, snr_db in enumerate(float(s) for s in cfg["snr_db"]):
         output_maps = bench.calibrate(snr_db)
-        evals = evaluate_demappers(
-            # the exact rule is always evaluated: it anchors the penalty
-            {m: bench.rule(m, snr_db) for m in ("exact", *cfg["modes"])},
-            bench.c,
-            from_snr_db(snr_db),
-            cfg["n_samples"],
-            seed,
-            ref_id="exact",
-            stream=snr_index,
-            n_workers=cfg["n_workers"],
-            chunk_size=cfg["chunk_size"],
-        )
+        # the exact rule is always evaluated: it anchors the penalty
+        evals = bench.evaluate(("exact", *cfg["modes"]), snr_db, cfg["n_samples"], snr_index, ref_id="exact")
         gmi_exact = evals["exact"].gmi  # its MC estimate can be <= 0 at low SNR: no penalty then
         for mode_id in cfg["modes"]:
             ev = evals[mode_id]
@@ -462,7 +460,6 @@ def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
                 "ber": ev.ber,
                 "n_samples": ev.n_samples,
                 "std_err": ev.std_error,
-                "seed": seed,
             }
             for k in (1, 2, 3):
                 row[f"gamma_{k}"] = maps[k].scale if maps else None
@@ -474,37 +471,17 @@ def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
 def run_ber_vs_rate(bench: Workbench) -> tuple[list[dict], dict]:
     """Settling-limited BER sweep plus the static exact reference row."""
     cfg = bench.cfg
-    seed = cfg["seed"]
     snr_db = float(cfg["ber_snr_db"])
     rates = [float(x) for x in cfg["rates_sps"]]
     output_maps = bench.calibrate(snr_db)
-    rows = []
-
-    static = evaluate_demappers(
-        {"exact": bench.rule("exact", snr_db)},
-        bench.c,
-        from_snr_db(snr_db),
-        cfg["n_symbols"],
-        seed,
-        stream=len(rates),  # streams 0..len(rates)-1 belong to the sweep
-        n_workers=cfg["n_workers"],
-        chunk_size=cfg["chunk_size"],
-    )["exact"]
-    rows.append(
-        {
-            "rate_sps": 0.0,
-            "demapper_id": "exact-static",
-            "errors": static.errors,
-            "bits": static.bits,
-            "ber": static.ber,
-            "seed": seed,
-        }
-    )
+    # streams 0..len(rates)-1 belong to the sweep
+    static = bench.evaluate(["exact"], snr_db, cfg["n_symbols"], len(rates))["exact"]
+    rows = [dict(rate_sps=0.0, demapper_id="exact-static", errors=static.errors, bits=static.bits, ber=static.ber)]
 
     sweeps = {mode_id: (d, output_maps[mode_id], bench.dynamics[mode_id]) for mode_id, d in bench.demappers.items()}
-    sweep = ber_vs_rate(rates, snr_db, sweeps, cfg["n_symbols"], seed, bench.c, n_workers=cfg["n_workers"])
+    sweep = ber_vs_rate(rates, snr_db, sweeps, cfg["n_symbols"], cfg["seed"], bench.c, n_workers=cfg["n_workers"])
     for mode_id, entries in sweep.items():
-        rows += [{**entry, "demapper_id": mode_id, "seed": seed} for entry in entries]
+        rows += [{**entry, "demapper_id": mode_id} for entry in entries]
     return rows, {"snr_db": snr_db, **bench.meta()}
 
 
@@ -512,7 +489,6 @@ def run_transitions(bench: Workbench) -> tuple[list[dict], dict]:
     """The two canonical settling traces for both analog modes: one
     segment per mode and transition."""
     cfg = bench.cfg
-    seed = cfg["seed"]
     d_scale = bench.c.d
     transitions = {
         "+3d_to_+7d": (3.0 * d_scale, 7.0 * d_scale),
@@ -532,7 +508,6 @@ def run_transitions(bench: Workbench) -> tuple[list[dict], dict]:
                     "vout_v_b1": traces[0].vout,
                     "vout_v_b2": traces[1].vout,
                     "vout_v_b3": traces[2].vout,
-                    "seed": seed,
                 }
             )
     return segments, bench.meta()
@@ -554,6 +529,6 @@ def run_experiment(experiment: str, cfg: dict, out_path=None) -> Path:
     runner, fields = _RUNNERS[experiment]
     rows, meta = runner(Workbench.from_config(cfg))
     path = out_path or cfg.get("out") or f"{experiment.replace('-', '_')}.csv"
-    write_csv(path, fields, rows)
+    write_csv(path, fields, [{**row, "seed": cfg["seed"]} for row in rows])
     write_metadata(path, cfg, meta)
     return Path(path)

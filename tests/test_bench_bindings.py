@@ -7,7 +7,9 @@ loaded by its path, so a bare ``pytest`` needs no ``perfbench`` import.
 The nesting of the analog layers is checked too: ``demap_static`` must
 reach each cell through the ``cell_output_v`` module attribute.  So is
 what the ``dynamics.sampled_outputs.symbols`` count reads: the size of
-the first argument, one value per symbol of a settling chunk.
+the first argument, one value per symbol of a settling chunk.  And the
+Monte Carlo runners must reach ``evaluate_demappers`` through the
+``harness`` module binding, which the tracer replaces.
 """
 
 import importlib
@@ -88,3 +90,23 @@ def test_ber_vs_rate_calls_sampled_outputs_once_per_mode_bit_and_chunk(monkeypat
     dynamics.ber_vs_rate([1e8, 3e8], 10.0, sweeps, n_symbols, 1, c)
     per_chunk = [dynamics.SETTLED_CHUNK_SYMBOLS] * 6 + [100] * 6  # 2 modes x 3 bits per chunk
     assert sizes == per_chunk * 2  # per rate
+
+
+def test_mc_runners_call_evaluate_demappers_through_the_harness_binding(monkeypatch, tmp_path):
+    # the tracer times metrics.evaluate_demappers by rebinding harness.evaluate_demappers;
+    # a runner that reached it another way would drop that layer
+    from demapsim import harness
+
+    calls = []
+    original = harness.evaluate_demappers
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["stream"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_demappers", counting)
+    overrides = {"snr_db": [0.0, 10.0], "n_samples": 2000, "n_symbols": 2000, "rates_sps": [1e8, 3e8]}
+    for experiment, streams in (("rate-penalty", [0, 1]), ("ber-vs-rate", [2])):
+        calls.clear()
+        harness.run_experiment(experiment, harness.load_config(overrides=overrides), tmp_path / "x.csv")
+        assert calls == streams

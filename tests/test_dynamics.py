@@ -82,6 +82,15 @@ class TestParams:
         with pytest.raises(ValueError):
             DynamicsParams(tau=1e-9, t_plateau=0.0, sample_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "tau, t_plateau, field",
+        [(np.nan, 0.0, "tau"), (np.inf, 0.0, "tau"), (0.4e-9, np.nan, "t_plateau"), (0.4e-9, np.inf, "t_plateau")],
+    )
+    def test_non_finite_times_rejected(self, tau, t_plateau, field):
+        # a NaN plateau would give simulate_transient NaN samples; an infinite tau, a frozen output
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DynamicsParams(tau=tau, t_plateau=t_plateau)
+
 
 class TestSaturationExit:
     """flags[1] of a two-symbol sequence: the step exits saturation."""
@@ -176,6 +185,19 @@ class TestTransient:
         with pytest.raises(ValueError, match="symbol rate must be positive"):
             simulate_transient([0.0, c.d], rate, bjt, 1, bjt_params())
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_non_finite_rate_rejected(self, c, bjt, rate):
+        with pytest.raises(ValueError, match="symbol rate must be positive and finite"):
+            simulate_transient([0.0, c.d], rate, bjt, 1, bjt_params())
+
+    @pytest.mark.parametrize("sps", [2.5, 16.0, "16"])
+    def test_non_integer_samples_per_symbol_rejected(self, c, bjt, sps):
+        # at 2.5, dt would be a 2.5th of the period but each symbol 3 steps: 3 symbols at 100 Msym/s in 36 ns
+        with pytest.raises(ValueError, match="samples_per_symbol must be an integer"):
+            simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], 1e8, bjt, 1, bjt_params(), sps)
+        trace = simulate_transient([3 * c.d, 7 * c.d, 7 * c.d], 1e8, bjt, 1, bjt_params(), np.int64(4))
+        assert trace.time[-1] == pytest.approx(30e-9, rel=1e-12)
+
     @pytest.mark.parametrize("sps", [1, 0, -4])
     def test_fewer_than_two_samples_per_symbol_rejected(self, c, bjt, sps):
         with pytest.raises(ValueError, match="samples_per_symbol must be at least 2"):
@@ -231,6 +253,15 @@ class TestBerVsRate:
             sweep_one([-1.0], self.SNR, bjt, maps, bjt_params(), 1000, 1, c)
         with pytest.raises(ValueError):
             sweep_one([1e8], self.SNR, bjt, maps, bjt_params(), 0, 1, c)
+
+    @pytest.mark.parametrize("rates", [[1e8, 2e8, 0.0], [1e8, np.inf], [np.nan]])
+    def test_every_rate_is_checked_before_any_draw(self, c, imap, bjt, monkeypatch, rates):
+        maps = output_maps_for(bjt, c, imap, self.SNR)
+        draws = []
+        monkeypatch.setattr(dynamics.channel, "draw", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="symbol rates must be positive and finite"):
+            sweep_one(rates, self.SNR, bjt, maps, bjt_params(), 100_000, 1, c)
+        assert draws == []
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_joint_sweep_equals_one_mode_sweeps(self, c, imap, bjt, mosfet, n_workers):

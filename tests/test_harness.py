@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +436,15 @@ class TestWorkbench:
         assert set(benches[0].dynamics) == {"analog-bjt", "analog-mosfet"}
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_row_ends_with_the_config_seed(tmp_path, experiment):
+    # the golden outputs pin only the default seed
+    cfg = small_config(seed=7, n_samples=2000, n_symbols=2000, llr_grid_points=11)
+    header, *rows = run_experiment(experiment, cfg, tmp_path / "x.csv").read_text().splitlines()
+    assert header.endswith(",seed")
+    assert rows and all(row.endswith(",7") for row in rows)
+
+
 class TestCli:
     def test_one_list_of_experiments(self):
         assert set(cli.main.commands) == set(cli._FLAG_KEYS) == set(harness._RUNNERS) == set(EXPERIMENTS)
@@ -511,6 +521,22 @@ class TestCli:
         assert result.output.splitlines() == [f"Error: snr_db: {float(snr_db)} dB is out of range: "
                                               "|snr_db| must be at most 1000 dB"]
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_is_a_config_error(self, source):
+        # ignored, an empty out would write rate_penalty.csv in the working directory
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            args = ["rate-penalty", "--snr-db", "10", "--samples", "2000"]
+            if source == "flag":
+                args += ["--out", ""]
+            else:
+                Path("cfg.yaml").write_text('out: ""\n')
+                args += ["--config", "cfg.yaml"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: out: '' is neither null nor a non-empty path"), result.output
+            assert list(Path().glob("*.csv*")) == []
 
     @pytest.mark.parametrize(
         "experiment, flag, value",
