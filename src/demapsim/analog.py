@@ -220,12 +220,12 @@ def synthesize_cells(
     The target is given by strictly increasing ``breakpoints`` and one
     slope per segment, the two unbounded end segments included.  Each
     interior slope change becomes one cell at that breakpoint; the
-    final segment is covered by an upward ramp at the last breakpoint.
-    Ramps toward the lower edge saturate exactly at ``vin_min`` and the
-    upward ramp at ``vin_max``.  Gains are scaled uniformly so the
-    largest cell uses exactly its ``isat_v`` budget; the scale is
-    reported and, like the target's level, absorbed by the downstream
-    affine output fit.
+    final segment is covered by an upward ramp at the last breakpoint,
+    or at ``vin_min`` if there is none.  Ramps toward the lower edge
+    saturate exactly at ``vin_min`` and the upward ramp at ``vin_max``.
+    Gains are scaled uniformly so the largest cell uses exactly its
+    ``isat_v`` budget; the scale is reported and, like the target's
+    level, absorbed by the downstream affine output fit.
     """
     b = np.asarray(breakpoints, dtype=float)
     s = np.asarray(slopes, dtype=float)
@@ -240,17 +240,13 @@ def synthesize_cells(
 
     slope_floor = _GAIN_EPS * max(1.0, float(np.abs(s).max()))
     raw: list[tuple[float, float, str]] = []  # (vref, signed slope contribution, orientation)
-    if b.size == 0:
-        if abs(s[0]) > slope_floor:
-            raw.append((vin_min, s[0], "ramp_above"))
-    else:
-        n = b.size
-        for j in range(n):
-            mu = (s[j] - s[j + 1]) if j < n - 1 else s[n - 1]
-            if abs(mu) > slope_floor:
-                raw.append((float(b[j]), mu, "ramp_below"))
-        if abs(s[n]) > slope_floor:
-            raw.append((float(b[n - 1]), s[n], "ramp_above"))
+    n = b.size
+    for j in range(n):
+        mu = (s[j] - s[j + 1]) if j < n - 1 else s[n - 1]
+        if abs(mu) > slope_floor:
+            raw.append((float(b[j]), mu, "ramp_below"))
+    if abs(s[n]) > slope_floor:  # the last segment; with no breakpoint, the whole target
+        raw.append((float(b[n - 1]) if n else vin_min, s[n], "ramp_above"))
     if not raw:
         return CellSynthesis(cells=(), output_scale=1.0)
 

@@ -45,13 +45,12 @@ class DynamicsParams:
             raise ValueError("sample_fraction must lie in (0, 1]")
 
     @classmethod
-    def for_mode(cls, mode: str, *, t_plateau_bjt: float = T_PLATEAU_BJT, **kwargs) -> "DynamicsParams":
+    def for_mode(cls, mode: str, *, tau: float = TAU_DEFAULT, t_plateau_bjt: float = T_PLATEAU_BJT,
+                 sample_fraction: float = SAMPLE_FRACTION_DEFAULT) -> "DynamicsParams":
         """Parameters of an analog mode: the plateau applies in ``analog-bjt`` only."""
         if mode not in PRESETS:
             raise ValueError(f"unknown mode {mode!r}; expected one of {list(PRESETS)}")
-        kwargs.setdefault("tau", TAU_DEFAULT)
-        kwargs.setdefault("t_plateau", t_plateau_bjt if mode == "analog-bjt" else 0.0)
-        return cls(**kwargs)
+        return cls(tau, t_plateau_bjt if mode == "analog-bjt" else 0.0, sample_fraction)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ MODES = ("exact", "maxlog", *PRESETS)
 # below about 1.5e-8 V of input window (at high SNR) the cells' output is flat on
 # the calibration grid and no output map fits; a fixed bound 60x above needs no grid
 INPUT_WINDOW_MIN_V = 1e-6
+N_WORKERS_MAX = 64  # channel.map_chunks starts n_workers - 1 threads per call
 
 
 class ConfigError(ValueError):
@@ -109,8 +110,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         import yaml  # only a config file needs PyYAML
 
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(path) as fh:
+                loaded = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -196,14 +200,8 @@ def validate_config(cfg: dict, experiment: str) -> dict:
         raise ConfigError(f"modes: {experiment} needs an analog mode, one of {tuple(PRESETS)}")
     for key, minimum in (("n_samples", 1000), ("n_symbols", 1000), ("n_workers", 1), ("chunk_size", 1)):
         _require_int(cfg.get(key), key, minimum)
-    window = cfg.get("input_window_v")
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
-    vmin, vmax = _require_number_list(cfg, "input_window_v")
-    if not vmin < vmax:
-        raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
-    _require_number(vmax, "input_window_v", maximum=VIN_HARD_MAX)  # the analog input cap
-
+    if cfg["n_workers"] > N_WORKERS_MAX:
+        raise ConfigError(f"n_workers: {cfg['n_workers']} must be at most {N_WORKERS_MAX}")
     snrs = {key: _require_number_list(cfg, key) for key in ("snr_db", "llr_snr_db")}
     snrs["ber_snr_db"] = [_require_number(cfg.get("ber_snr_db"), "ber_snr_db")]
     for key, values in snrs.items():
@@ -214,34 +212,50 @@ def validate_config(cfg: dict, experiment: str) -> dict:
                 raise ConfigError(f"{key}: {exc}") from None
     _require_int(cfg.get("llr_grid_points"), "llr_grid_points", 2)
     _require_number_list(cfg, "rates_sps", minimum=0.0)
-    dyn = _require_mapping(cfg.get("dynamics"), "dynamics")
-    _require_number(dyn.get("tau_s"), "dynamics.tau_s", 0.0)
-    _require_number(dyn.get("sample_fraction"), "dynamics.sample_fraction", 0.0, maximum=1.0)
-    _require_number(dyn.get("t_plateau_bjt_s"), "dynamics.t_plateau_bjt_s", 0.0, inclusive=True)
     tr = _require_mapping(cfg.get("transitions"), "transitions")
     _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
     _require_int(tr.get("samples_per_symbol"), "transitions.samples_per_symbol", 2)
+    _analog(cfg, build_pam8(), PRESETS)
+    return cfg
+
+
+def _analog(cfg: dict, c: Constellation, modes) -> tuple[AffineMap, dict, dict]:
+    """Check and read ``input_window_v`` and the ``demapper`` and ``dynamics``
+    blocks: the input map, then the demapper and settling parameters of
+    each analog mode of ``modes``, in order.  ConfigError names the field."""
+    window = cfg.get("input_window_v")
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
+    vmin, vmax = _require_number_list(cfg, "input_window_v")
+    if not vmin < vmax:
+        raise ConfigError("input_window_v: must be [vmin, vmax] with vmin < vmax")
+    _require_number(vmax, "input_window_v", maximum=VIN_HARD_MAX)  # the analog input cap
+    dyn = _require_mapping(cfg.get("dynamics"), "dynamics")
+    tau = _require_number(dyn.get("tau_s"), "dynamics.tau_s", 0.0)
+    fraction = _require_number(dyn.get("sample_fraction"), "dynamics.sample_fraction", 0.0, maximum=1.0)
+    plateau = _require_number(dyn.get("t_plateau_bjt_s"), "dynamics.t_plateau_bjt_s", 0.0, inclusive=True)
     dem = _require_mapping(cfg.get("demapper"), "demapper")
     vdd = _require_number(dem.get("vdd"), "demapper.vdd", 0.0)
-    c = build_pam8()
     # the synthesis range, +-r_span, must hold every max-log kink; the outermost is at 6d
     r_span = _require_number(dem.get("r_span"), "demapper.r_span", max(float(s[0][-1]) for s in c.maxlog_segments))
     imap = input_map(c, vmin, vmax)
-    for mode_id in PRESETS:
+    demappers, dynamics = {}, {}
+    for mode_id in (m for m in modes if m in PRESETS):
         cell = _require_mapping(dem.get(mode_id), f"demapper.{mode_id}")
         knee = _require_number(cell.get("knee_eps_v"), f"demapper.{mode_id}.knee_eps_v", 0.0, inclusive=True)
         isat = _require_number(cell.get("isat_v"), f"demapper.{mode_id}.isat_v", 0.0)
-        # synthesize every preset, as from_config does the listed ones; under an unbounded
-        # vdd only the input geometry can fail, so the output-swing check is named apart
-        checks = ((np.inf, "input_window_v, demapper.r_span"), (vdd, f"demapper.vdd, demapper.{mode_id}.isat_v"))
-        for supply, fields in checks:
-            try:
-                build_demapper(c, imap, mode_id, knee_eps=knee, isat_v=isat, r_span=r_span, vdd=supply)
-            except ValueError as exc:
-                raise ConfigError(f"{fields}: {exc}") from None
+        try:
+            demappers[mode_id] = build_demapper(c, imap, mode_id, knee_eps=knee, isat_v=isat, r_span=r_span, vdd=vdd)
+        except ValueError as exc:
+            try:  # only the output-swing check reads vdd: a bad input geometry fails under any vdd
+                build_demapper(c, imap, mode_id, knee_eps=knee, isat_v=isat, r_span=r_span, vdd=np.inf)
+            except ValueError as geometry:
+                raise ConfigError(f"input_window_v, demapper.r_span: {geometry}") from None
+            raise ConfigError(f"demapper.vdd, demapper.{mode_id}.isat_v: {exc}") from None
+        dynamics[mode_id] = DynamicsParams.for_mode(mode_id, tau=tau, t_plateau_bjt=plateau, sample_fraction=fraction)
     if vmax < vmin + INPUT_WINDOW_MIN_V:  # after synthesis, which names a window too narrow for the kinks
         raise ConfigError(f"input_window_v: [{vmin!r}, {vmax!r}] is narrower than {INPUT_WINDOW_MIN_V:g} V")
-    return cfg
+    return imap, demappers, dynamics
 
 
 @dataclass
@@ -260,28 +274,10 @@ class Workbench:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Workbench":
+        """The Workbench of ``cfg``; a bad ``input_window_v``, ``demapper`` or ``dynamics``
+        block raises the ConfigError naming the field, as ``validate_config`` does."""
         c = build_pam8()
-        vmin, vmax = (float(v) for v in cfg["input_window_v"])
-        imap = input_map(c, vmin, vmax)
-        dem_cfg, dyn = cfg["demapper"], cfg["dynamics"]
-        demappers, dynamics = {}, {}
-        for mode_id in cfg["modes"]:
-            if mode_id in PRESETS:
-                demappers[mode_id] = build_demapper(
-                    c,
-                    imap,
-                    mode=mode_id,
-                    knee_eps=float(dem_cfg[mode_id]["knee_eps_v"]),
-                    isat_v=float(dem_cfg[mode_id]["isat_v"]),
-                    r_span=float(dem_cfg["r_span"]),
-                    vdd=float(dem_cfg["vdd"]),
-                )
-                dynamics[mode_id] = DynamicsParams.for_mode(
-                    mode_id,
-                    tau=float(dyn["tau_s"]),
-                    t_plateau_bjt=float(dyn["t_plateau_bjt_s"]),
-                    sample_fraction=float(dyn["sample_fraction"]),
-                )
+        imap, demappers, dynamics = _analog(cfg, c, cfg["modes"])
         return cls(c=c, imap=imap, demappers=demappers, dynamics=dynamics, cfg=cfg)
 
     def calibrate(self, snr_db: float) -> dict[str, dict[int, AffineMap]]:

@@ -69,6 +69,14 @@ class TestParams:
         assert mosfet_params().t_plateau == 0.0
         assert mosfet_params().tau == pytest.approx(0.4e-9)
 
+    @pytest.mark.parametrize("t_plateau_bjt", [0.0, 5e-9])
+    def test_mosfet_has_no_plateau_and_each_value_has_one_keyword(self, t_plateau_bjt):
+        assert mosfet_params(t_plateau_bjt=t_plateau_bjt).t_plateau == 0.0
+        assert bjt_params(t_plateau_bjt=t_plateau_bjt).t_plateau == t_plateau_bjt
+        for mode in ("analog-mosfet", "analog-bjt"):
+            with pytest.raises(TypeError):
+                DynamicsParams.for_mode(mode, t_plateau=1e-9)
+
     def test_unknown_mode_rejected(self):
         for mode in ("nmos", "bjt", "mosfet"):
             with pytest.raises(ValueError, match="unknown mode"):
@@ -345,14 +353,14 @@ class TestSampledOutputs:
             self.assert_matches_loop(targets, flags, rate, bjt_params())
 
     def test_zero_plateau_with_flags(self, bjt):
-        dp = bjt_params(t_plateau=0.0)
+        dp = bjt_params(t_plateau_bjt=0.0)
         targets, flags = settling_inputs(bjt, 1, 2000, seed=9)
         assert flags.any()
         for rate in (5e7, 5e8, 2e9):
             self.assert_matches_loop(targets, flags, rate, dp)
 
     def test_plateau_longer_than_the_sequence(self, bjt):
-        dp = bjt_params(t_plateau=1e-6)
+        dp = bjt_params(t_plateau_bjt=1e-6)
         targets, flags = settling_inputs(bjt, 1, 300, seed=13)
         for rate in (5e8, 2e9):
             self.assert_matches_loop(targets, flags, rate, dp)
@@ -417,7 +425,7 @@ class TestTransientEngine:
             self.assert_matches_loop(seq, rate, d, k, dp)
 
     def test_plateau_longer_than_the_sequence(self, c, bjt):
-        dp = bjt_params(t_plateau=1e-6)
+        dp = bjt_params(t_plateau_bjt=1e-6)
         seq = c.d * np.array([3.0, 7.0, -7.0, 5.0, 1.0])
         assert dp.t_plateau > seq.size / 5e8
         for k in (1, 2, 3):
@@ -425,7 +433,7 @@ class TestTransientEngine:
 
     def test_plateau_ends_within_a_step(self, c, bjt):
         # 1.234 ns ends 34% into the 13th 0.1 ns step after the boundary
-        dp = bjt_params(t_plateau=1.234e-9)
+        dp = bjt_params(t_plateau_bjt=1.234e-9)
         seq = c.d * np.array([3.0, 7.0, 7.0, -7.0, 5.0])
         for k in (1, 2, 3):
             self.assert_matches_loop(seq, 1e8, bjt, k, dp, 100)

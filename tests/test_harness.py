@@ -7,9 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from demapsim import cli, harness
-from demapsim.analog import demapper_from_dict, demap_static
+from demapsim.analog import build_demapper, demapper_from_dict, demap_static
+from demapsim.calibration import input_map
 from demapsim.channel import SNR_DB_MAX
 from demapsim.cli import main
+from demapsim.dynamics import DynamicsParams
 from demapsim.harness import (
     EXPERIMENTS,
     INPUT_WINDOW_MIN_V,
@@ -140,6 +142,12 @@ class TestConfigValidation:
         block[leaf] = value
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             validate_config(cfg, "ber-vs-rate")
+
+    def test_n_workers_is_bounded(self):
+        # each map_chunks call starts n_workers - 1 threads; no run or pool is started here
+        validate_config(small_config(n_workers=64), "rate-penalty")
+        with pytest.raises(ConfigError, match="^n_workers: 65 must be at most 64$"):
+            validate_config(small_config(n_workers=65), "rate-penalty")
 
     def test_settling_experiments_need_an_analog_mode(self):
         for experiment in ("ber-vs-rate", "transitions"):
@@ -426,6 +434,43 @@ class TestWorkbench:
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_from_config_names_the_field_of_a_bad_block(self):
+        cfg = small_config()
+        cfg["demapper"]["vdd"] = 0.2
+        with pytest.raises(ConfigError) as validated:
+            validate_config(cfg, "rate-penalty")
+        with pytest.raises(ConfigError) as built:
+            Workbench.from_config(cfg)
+        assert str(built.value) == str(validated.value)
+
+    def test_analog_modes_are_built_from_the_config_in_listed_order(self):
+        cfg = small_config(modes=["analog-mosfet", "exact", "analog-bjt"])
+        dem, dyn = cfg["demapper"], cfg["dynamics"]
+        dem["vdd"], dem["analog-bjt"]["knee_eps_v"] = 2.0, 2e-3
+        dyn.update(tau_s=0.5e-9, t_plateau_bjt_s=3e-9, sample_fraction=0.9)
+        bench = Workbench.from_config(cfg)
+        assert list(bench.demappers) == list(bench.dynamics) == ["analog-mosfet", "analog-bjt"]
+        imap = input_map(bench.c, *cfg["input_window_v"])
+        for mode in bench.demappers:
+            assert bench.demappers[mode] == build_demapper(
+                bench.c, imap, mode, knee_eps=dem[mode]["knee_eps_v"], isat_v=dem[mode]["isat_v"],
+                r_span=dem["r_span"], vdd=dem["vdd"],
+            )
+            assert bench.dynamics[mode] == DynamicsParams.for_mode(
+                mode, tau=dyn["tau_s"], t_plateau_bjt=dyn["t_plateau_bjt_s"], sample_fraction=dyn["sample_fraction"]
+            )
+
+    def test_a_run_builds_each_preset_once_to_validate_and_once_to_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build_demapper(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_demapper", counting_build)
+        run_experiment("transitions", load_config(), tmp_path / "tr.csv")
+        assert len(calls) == 4
+
     def test_settling_parameters_ignore_the_trace_sample_count(self):
         # the trace sample count draws a trace; it is not part of a mode's settling model
         benches = [
@@ -521,6 +566,18 @@ class TestCli:
         assert result.output.splitlines() == [f"Error: snr_db: {float(snr_db)} dB is out of range: "
                                               "|snr_db| must be at most 1000 dB"]
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "content", [b"seed: [1, 2\n", b"seed: 1\n\tn_samples: 2000\n", b"\xff\xfe"], ids=["parser", "tab", "not-utf8"]
+    )
+    def test_malformed_config_file_is_a_one_line_config_error(self, tmp_path, content):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        result = CliRunner().invoke(main, ["rate-penalty", "--config", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a diagnostic, not an uncaught exception
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith(f"Error: config file {path}: ")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_out_is_a_config_error(self, source):

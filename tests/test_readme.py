@@ -10,7 +10,7 @@ import pytest
 
 from demapsim import cli
 from demapsim.channel import from_snr_db
-from demapsim.harness import EXPERIMENTS, INPUT_WINDOW_MIN_V, ConfigError, load_config, validate_config
+from demapsim.harness import EXPERIMENTS, INPUT_WINDOW_MIN_V, N_WORKERS_MAX, ConfigError, load_config, validate_config
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -49,6 +49,11 @@ def test_flag_table_matches_the_cli():
             table[flag.strip("`"), experiment] = match.group(1)
     flags = {flag for keys in cli._FLAG_KEYS.values() for flag in keys}
     assert table == {(flag, experiment): cli._FLAG_KEYS[experiment].get(flag) for flag in flags for experiment in experiments}
+
+
+def test_stated_worker_range_is_the_enforced_bound():
+    ((low, high),) = re.findall(r"`--workers`\s+value\s+from\s+(\d+)\s+to\s+(\d+)\.", README)
+    assert (int(low), int(high)) == (1, N_WORKERS_MAX)
 
 
 def test_stated_snr_range_is_the_enforced_bound():
