@@ -65,11 +65,11 @@ def worker_rng(master_seed: int, worker_index: int, stream: int = 0) -> np.rando
 
 
 def chunk_sizes(n_total: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]:
-    """Split n_total samples into fixed-size work units (last one short)."""
-    if n_total <= 0:
-        raise ValueError(f"n_total must be positive, got {n_total}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    """Split n_total samples into fixed-size work units (last one short): the one check of a
+    chunked run's counts, each an int (Python or numpy, not bool) of at least 1 or a ValueError."""
+    for name, value in (("n_total", n_total), ("chunk_size", chunk_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     full, rem = divmod(n_total, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 
@@ -103,7 +103,7 @@ def _steady_heap() -> None:
 
 
 def map_chunks(fn, n_total: int, chunk_size: int, n_workers: int) -> list:
-    """``fn(i, n)`` for every chunk i of n samples, in chunk order.
+    """``fn(i, n)`` for every chunk i of n of ``chunk_sizes(n_total, chunk_size)``, in chunk order.
 
     With w > 1 workers the calling thread is one of them: it runs chunks
     0, w, 2w, ... itself while a pool of w - 1 threads runs the rest.

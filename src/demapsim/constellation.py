@@ -17,10 +17,10 @@ def gray_code(n_bits: int) -> np.ndarray:
 
 
 def bit_row(k: int) -> int:
-    """Row ``k - 1`` of the per-bit tables; ValueError unless k is 1, 2 or 3."""
-    if k not in (1, 2, 3):
+    """Row ``k - 1`` of the per-bit tables; ValueError unless k is an int 1, 2 or 3, not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
         raise ValueError(f"bit position k must be 1, 2 or 3, got {k!r}")
-    return k - 1
+    return int(k) - 1
 
 
 @dataclass(frozen=True)

@@ -200,11 +200,10 @@ def ber_vs_rate(
     output maps, and sliced by sign.  Each chunk of
     ``SETTLED_CHUNK_SYMBOLS`` symbols is an independent settled sequence
     with its own stream, so results do not depend on the worker count.
-    Every demapper sees the same draw of a (rate, chunk), sorted once
-    by r (paired sampling, as in ``metrics.evaluate_demappers``).
+    Every demapper sees the same draw of a (rate, chunk), sorted once by
+    r (paired sampling); error counts are summed in chunk order.  Every
+    rate, then ``n_symbols`` in ``channel.chunk_sizes``, is checked first.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be positive")
     rates = [float(rate) for rate in rates]
     if not all(0 < rate < math.inf for rate in rates):
         raise ValueError(f"symbol rates must be positive and finite, got {rates}")
@@ -215,13 +214,11 @@ def ber_vs_rate(
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
             order = np.argsort(r)  # one sort for every demapper and bit
-            return [_chunk_errors(bits, r, order, rate, *sweep) for sweep in sweeps.values()]
+            return np.array([_chunk_errors(bits, r, order, rate, *sweep) for sweep in sweeps.values()])
 
-        per_chunk = channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers)
-        for mode_rows, errors in zip(rows.values(), map(sum, zip(*per_chunk))):
-            mode_rows.append(
-                {"rate_sps": rate, "errors": errors, "bits": 3 * n_symbols, "ber": errors / (3 * n_symbols)}
-            )
+        errors = sum(channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers))
+        for mode_rows, e in zip(rows.values(), errors):
+            mode_rows.append({"rate_sps": rate, "errors": e, "bits": 3 * n_symbols, "ber": e / (3 * n_symbols)})
     return rows
 
 

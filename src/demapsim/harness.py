@@ -110,9 +110,18 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         import yaml  # only a config file needs PyYAML
 
+        class UniqueKeyLoader(yaml.SafeLoader):  # a key given twice is an error, not an override
+            def compose_mapping_node(self, anchor):
+                node, seen = super().compose_mapping_node(anchor), set()
+                for key, _ in node.value:
+                    if (key.tag, str(key.value)) in seen:
+                        raise yaml.MarkedYAMLError(problem=f"duplicate key {key.value!r}", problem_mark=key.start_mark)
+                    seen.add((key.tag, str(key.value)))
+                return node
+
         try:
             with open(path) as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=UniqueKeyLoader)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if loaded is None:

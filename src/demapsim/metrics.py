@@ -60,9 +60,11 @@ def rate_penalty(gmi_approx: float, gmi_exact: float) -> float:
 
 
 def energy_per_bit(power_w: float, symbol_rate: float, bits_per_symbol: int) -> float:
-    """Energy per transported bit, joules."""
-    if power_w <= 0 or symbol_rate <= 0 or bits_per_symbol <= 0:
-        raise ValueError("power, symbol rate and bits per symbol must be positive")
+    """Energy per transported bit, joules; power and symbol rate finite and positive, bits an int >= 1."""
+    if not (0 < power_w < math.inf and 0 < symbol_rate < math.inf):
+        raise ValueError(f"power and symbol rate must be positive and finite, got {power_w!r} and {symbol_rate!r}")
+    if isinstance(bits_per_symbol, bool) or not isinstance(bits_per_symbol, (int, np.integer)) or bits_per_symbol < 1:
+        raise ValueError(f"bits per symbol must be an integer of at least 1, got {bits_per_symbol!r}")
     return power_w / (symbol_rate * bits_per_symbol)
 
 
@@ -116,17 +118,14 @@ class DemapperEvaluation:
 
 
 def _eval_chunk(llr_fns, bits, r, ref_id):
-    """Each rule's sums over one chunk, one float64 array per rule:
-    [0:5] the sums and [5:10] the sums of squares of, in order, the
-    three bit summands, their per-symbol mean, and the paired difference
-    ref - this of that mean (0 for the reference); [10] the bit errors.
+    """Each rule's sums over one chunk, one float64 row per rule in ``llr_fns`` order, which the
+    caller adds in chunk order: [0:5] the sums and [5:10] the sums of squares of, in order, the
+    three bit summands, their per-symbol mean, and the paired difference ref - this of that mean
+    (0 for the reference); [10] the bit errors.
     """
-    sums = {}
-    ref_sym = None
-    names = sorted(llr_fns, key=lambda name: name != ref_id)  # the reference first, for pairing
-    for name in names:
-        fn = llr_fns[name]
-        t = sums[name] = np.zeros(11)
+    sums = np.zeros((len(llr_fns), 11))
+    for i, name in sorted(enumerate(llr_fns), key=lambda row: row[1] != ref_id):  # the reference first, for pairing
+        fn, t = llr_fns[name], sums[i]
         sym = np.zeros(r.size)  # per-symbol sum, then mean, of the bit summands
         for k in (1, 2, 3):
             llr = fn(r, k)
@@ -143,7 +142,7 @@ def _eval_chunk(llr_fns, bits, r, ref_id):
         t[8] = (sym * sym).sum()
         if name == ref_id:
             ref_sym = sym
-        elif ref_sym is not None:
+        elif ref_id is not None:  # the reference ran first
             diff = np.subtract(ref_sym, sym, out=sym)  # negative when this demapper loses rate
             t[4] = diff.sum()
             t[9] = (diff * diff).sum()
@@ -173,13 +172,12 @@ def evaluate_demappers(
     ``llr_fns`` maps a demapper id to a callable (r_array, k) -> LLR
     array that is pointwise in r.  All rules see identical observations,
     each chunk's in ascending order.  ``ref_id`` selects the rule
-    against which paired GMI differences are tracked.  Each chunk job
-    sorts its draw and returns one array of sums per rule (layout in
-    ``_eval_chunk``); the arrays are added in chunk order, and every
-    mean and standard error comes from them through ``_mean_se``.
+    against which paired GMI differences are tracked.  ``channel.chunk_sizes``
+    checks ``n_symbols`` and ``chunk_size`` before any draw.  Each chunk job
+    sorts its draw and returns one row of sums per rule (layout in
+    ``_eval_chunk``); ``sum`` adds them in chunk order, and every mean and
+    standard error comes from them through ``_mean_se``.
     """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be positive")
     if ref_id is not None and ref_id not in llr_fns:
         raise ValueError(f"ref_id {ref_id!r} is not among the demapper ids {list(llr_fns)}")
 
@@ -193,13 +191,9 @@ def evaluate_demappers(
         del order
         return _eval_chunk(llr_fns, bits, r, ref_id)
 
-    totals = dict.fromkeys(llr_fns, 0.0)
-    for result in channel.map_chunks(job, n_symbols, chunk_size, n_workers):
-        for name, t in result.items():
-            totals[name] += t
-
+    totals = sum(channel.map_chunks(job, n_symbols, chunk_size, n_workers))  # in chunk order
     out = {}
-    for name, t in totals.items():
+    for name, t in zip(llr_fns, totals):
         mean, se = _mean_se(t[:5], t[5:10], n_symbols)
         paired = ref_id is not None and name != ref_id  # gmi(this) - gmi(ref) = E[ref summand] - E[this summand]
         out[name] = DemapperEvaluation(

@@ -17,7 +17,6 @@ import pytest
 from demapsim.analog import build_demapper, demap_static
 from demapsim.calibration import calibration_grid, fit_output_map, input_map
 from demapsim.channel import from_snr_db
-from demapsim.constellation import build_pam8
 from demapsim.dynamics import DynamicsParams, ber_vs_rate, simulate_transient
 from demapsim.harness import load_config, run_experiment
 from demapsim.metrics import energy_per_bit, evaluate_demappers, rate_penalty
@@ -32,26 +31,6 @@ def report(num: int, name: str, ok: bool, detail: str) -> bool:
     status = "PASS" if ok else "FAIL"
     print(f"\n[acceptance] criterion {num:02d} {name}: {status} ({detail})")
     return ok
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
-
-
-@pytest.fixture(scope="module")
-def imap(c):
-    return input_map(c, 0.04, 0.60)
-
-
-@pytest.fixture(scope="module")
-def mosfet(c, imap):
-    return build_demapper(c, imap, "analog-mosfet")
-
-
-@pytest.fixture(scope="module")
-def bjt(c, imap):
-    return build_demapper(c, imap, "analog-bjt")
 
 
 def analog_llr_fns(dm, c, snr_db):

@@ -18,7 +18,6 @@ from demapsim.analog import (
 )
 from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
 from demapsim.channel import draw, from_snr_db
-from demapsim.constellation import build_pam8
 from demapsim.metrics import _softplus_
 from demapsim.reference import maxlog_llr, maxlog_segment_slopes
 
@@ -30,16 +29,6 @@ from oracles import (
     logaddexp_cell_output_v,
     logaddexp_demap_static,
 )
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
-
-
-@pytest.fixture(scope="module")
-def imap(c):
-    return input_map(c, 0.04, 0.60)
 
 
 def ramp_below(vref=0.3, gain=2.0, isat=10.0, knee=0.0, pol="pos"):
@@ -593,6 +582,12 @@ class TestSoftplusIdentities:
 
 
 class TestDemapperLifecycle:
+    @pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_cells_for_bit_takes_an_int_bit_position(self, bjt, k):
+        with pytest.raises(ValueError, match="bit position k must be 1, 2 or 3"):
+            bjt.cells_for_bit(k)
+        assert bjt.cells_for_bit(np.int64(2)) == bjt.cells_for_bit(2)
+
     def test_cell_counts(self, c, imap):
         dm = build_demapper(c, imap, "analog-mosfet")
         assert [len(dm.cells_for_bit(k)) for k in (1, 2, 3)] == [7, 6, 4]

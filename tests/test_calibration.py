@@ -9,7 +9,6 @@ from demapsim.calibration import (
     input_map,
 )
 from demapsim.channel import from_snr_db
-from demapsim.constellation import build_pam8
 from demapsim.reference import exact_llr, maxlog_llr
 
 
@@ -17,16 +16,6 @@ def fit_residual_rms(map_: AffineMap, vout: np.ndarray, ref: np.ndarray) -> floa
     """Root-mean-square residual of a fitted output map on samples."""
     res = map_(vout) - np.asarray(ref, float)
     return float(np.sqrt(np.mean(res * res)))
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
-
-
-@pytest.fixture(scope="module")
-def imap(c):
-    return input_map(c, 0.04, 0.60)
 
 
 class TestInputMap:

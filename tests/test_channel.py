@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import platform
+import re
 import resource
 import threading
 import time
@@ -105,6 +106,18 @@ class TestChunking:
         for size in (0, -3):
             with pytest.raises(ValueError, match="chunk_size"):
                 chunk_sizes(10, size)
+
+    @pytest.mark.parametrize("name, args", [
+        ("n_total", (True, 4)), ("n_total", (10.0, 4)), ("n_total", ("10", 4)), ("n_total", (-1, 4)),
+        ("chunk_size", (10, True)), ("chunk_size", (10, 4.0)), ("chunk_size", (10, None)),
+    ])
+    def test_counts_must_be_ints_of_at_least_1(self, name, args):
+        bad = args[0] if name == "n_total" else args[1]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer of at least 1, got {re.escape(repr(bad))}$"):
+            chunk_sizes(*args)
+
+    def test_numpy_ints_are_accepted(self):
+        assert chunk_sizes(np.int64(10), np.int32(4)) == [4, 4, 2]
 
 
 class TestDraw:

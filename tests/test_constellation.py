@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from demapsim.constellation import build_pam8, gray_code
+from demapsim.constellation import gray_code
 
 from oracles import class_indices
 
 # Binary-reflected Gray sequence for 3 bits, regression oracle for the
 # algorithmic generation (i XOR i>>1).
 GRAY_LABELS = ["000", "001", "011", "010", "110", "111", "101", "100"]
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
 
 
 class TestGeometry:

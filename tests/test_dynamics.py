@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,26 +20,6 @@ from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr
 from demapsim.analog import CellSpec
 from oracles import loop_sampled_outputs, loop_simulate_transient
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
-
-
-@pytest.fixture(scope="module")
-def imap(c):
-    return input_map(c, 0.04, 0.60)
-
-
-@pytest.fixture(scope="module")
-def bjt(c, imap):
-    return build_demapper(c, imap, "analog-bjt")
-
-
-@pytest.fixture(scope="module")
-def mosfet(c, imap):
-    return build_demapper(c, imap, "analog-mosfet")
 
 
 def bjt_params(**kwargs):
@@ -270,6 +252,23 @@ class TestBerVsRate:
         with pytest.raises(ValueError, match="symbol rates must be positive and finite"):
             sweep_one(rates, self.SNR, bjt, maps, bjt_params(), 100_000, 1, c)
         assert draws == []
+
+    @pytest.mark.parametrize("n_symbols", [True, 2000.0, 0, -1])
+    def test_n_symbols_is_checked_by_chunk_sizes_before_any_draw(self, c, imap, bjt, monkeypatch, n_symbols):
+        # True once swept one symbol, and 2000.0 failed with a TypeError inside the chunking
+        maps = output_maps_for(bjt, c, imap, self.SNR)
+        draws = []
+        monkeypatch.setattr(dynamics.channel, "draw", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=rf"^n_total must be an integer of at least 1, got {re.escape(repr(n_symbols))}$"):
+            sweep_one([1e8, 2e8], self.SNR, bjt, maps, bjt_params(), n_symbols, 1, c)
+        with pytest.raises(ValueError, match="symbol rates must be positive and finite"):  # every rate first
+            sweep_one([1e8, 0.0], self.SNR, bjt, maps, bjt_params(), n_symbols, 1, c)
+        assert draws == []
+
+    def test_numpy_n_symbols_is_accepted(self, c, imap, bjt):
+        maps = output_maps_for(bjt, c, imap, self.SNR)
+        a = sweep_one([3e8], self.SNR, bjt, maps, bjt_params(), 3_000, 4, c)
+        assert sweep_one([3e8], self.SNR, bjt, maps, bjt_params(), np.int64(3_000), 4, c) == a
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_joint_sweep_equals_one_mode_sweeps(self, c, imap, bjt, mosfet, n_workers):

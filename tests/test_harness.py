@@ -203,6 +203,32 @@ class TestConfigValidation:
             run_experiment(experiment, small_config(**extra), tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [("seed: 1\nn_samples: 2000\nseed: 2\n", "seed", 3), ("demapper:\n  vdd: 1.6\n  r_span: 5.0\n  vdd: 1.2\n", "vdd", 4)],
+        ids=["top-level", "nested"],
+    )
+    def test_a_key_given_twice_is_a_config_error(self, tmp_path, text, key, line):
+        # PyYAML's own loader keeps the last value without a word
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^config file {re.escape(str(path))}: duplicate key '{key}' in .*, line {line}, "):
+            load_config(path)
+
+    def test_an_explicit_key_overrides_a_merged_one(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "demapper:\n"
+            "  analog-bjt: &cell {knee_eps_v: 0.002, isat_v: 0.3}\n"
+            "  analog-mosfet:\n"
+            "    <<: *cell\n"
+            "    knee_eps_v: 0.03\n"
+        )
+        cfg = load_config(path)
+        assert cfg["demapper"]["analog-bjt"] == {"knee_eps_v": 0.002, "isat_v": 0.3}
+        assert cfg["demapper"]["analog-mosfet"] == {"knee_eps_v": 0.03, "isat_v": 0.3}
+        validate_config(cfg, "rate-penalty")
+
     def test_config_file_merge(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 42\nn_samples: 2000\n")

@@ -1,12 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from demapsim import metrics
 from demapsim.channel import draw, from_snr_db
-from demapsim.constellation import build_pam8
 from demapsim.metrics import (
     DemapperEvaluation,
     energy_per_bit,
@@ -18,11 +18,6 @@ from demapsim.metrics import (
 from demapsim.reference import exact_llr, maxlog_llr
 
 from oracles import quadrature_mi_exact
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
 
 
 class TestMiBitwise:
@@ -118,6 +113,17 @@ class TestScalarMetrics:
         with pytest.raises(ValueError):
             energy_per_bit(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("power_w, symbol_rate", [(np.nan, 1e9), (np.inf, 1e9), (-1e-3, 1e9), (1e-3, np.nan), (1e-3, np.inf), (1e-3, 0.0)])
+    def test_energy_per_bit_needs_a_finite_positive_power_and_rate(self, power_w, symbol_rate):
+        with pytest.raises(ValueError, match="power and symbol rate must be positive and finite"):
+            energy_per_bit(power_w, symbol_rate, 3)
+
+    @pytest.mark.parametrize("bits", [2.5, 3.0, True, 0, "3"])
+    def test_energy_per_bit_needs_an_int_bit_count(self, bits):
+        with pytest.raises(ValueError, match=rf"bits per symbol must be an integer of at least 1, got {re.escape(repr(bits))}$"):
+            energy_per_bit(1e-3, 1e9, bits)
+        assert energy_per_bit(1e-3, 1e9, np.int64(3)) == energy_per_bit(1e-3, 1e9, 3)
+
 
 def evaluation(n_samples=10, errors=0):
     return DemapperEvaluation(
@@ -204,6 +210,42 @@ class TestPairedEvaluation:
         fns = {"maxlog": lambda r, k: maxlog_llr(r, k, c, p), "const": lambda r, k: np.zeros(r.size)}
         with pytest.raises(ValueError, match=r"'exact' is not among the demapper ids \['maxlog', 'const'\]"):
             evaluate_demappers(fns, c, p, 1000, 9, ref_id="exact")
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_symbols", n) for n in (True, 2000.0, 0, -1)] + [("chunk_size", n) for n in (True, 0, 8192.0)]
+    )
+    def test_counts_are_checked_by_chunk_sizes_before_any_draw(self, c, monkeypatch, name, value):
+        # True once ran one symbol, and 2000.0 failed with a TypeError inside the chunking
+        draws = []
+        monkeypatch.setattr(metrics.channel, "draw", lambda *args: draws.append(args))
+        p = from_snr_db(5.0)
+        counts = {"n_symbols": 2000, "chunk_size": 8192, name: value}
+        arg = "n_total" if name == "n_symbols" else name  # the name chunk_sizes gives the count
+        with pytest.raises(ValueError, match=rf"^{arg} must be an integer of at least 1, got {re.escape(repr(value))}$"):
+            evaluate_demappers(
+                {"exact": lambda r, k: exact_llr(r, k, c, p)}, c, p, counts["n_symbols"], 9, chunk_size=counts["chunk_size"]
+            )
+        assert draws == []
+
+    def test_numpy_counts_are_accepted(self, c):
+        p = from_snr_db(5.0)
+        fns = {"exact": lambda r, k: exact_llr(r, k, c, p), "maxlog": lambda r, k: maxlog_llr(r, k, c, p)}
+        a = evaluate_demappers(fns, c, p, 2_500, 9, ref_id="exact", chunk_size=1_000)
+        b = evaluate_demappers(fns, c, p, np.int64(2_500), 9, ref_id="exact", chunk_size=np.int64(1_000))
+        assert a == b
+
+    def test_results_follow_the_order_of_llr_fns_whatever_the_reference(self, c):
+        # the reference runs first in each chunk, yet each rule keeps its own row
+        p = from_snr_db(5.0)
+        fns = {
+            "const": lambda r, k: np.full(r.size, 0.3),
+            "maxlog": lambda r, k: maxlog_llr(r, k, c, p),
+            "exact": lambda r, k: exact_llr(r, k, c, p),
+        }
+        last = evaluate_demappers(fns, c, p, 2_500, 9, ref_id="exact", chunk_size=1_000)
+        first = evaluate_demappers({"exact": fns["exact"], **fns}, c, p, 2_500, 9, ref_id="exact", chunk_size=1_000)
+        assert list(last) == list(fns)
+        assert all(last[name] == first[name] for name in fns)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_estimates_match_a_direct_computation(self, c, n_workers):

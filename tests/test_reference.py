@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,6 @@ import pytest
 
 import demapsim
 from demapsim.channel import draw, from_snr_db
-from demapsim.constellation import build_pam8
 from demapsim.reference import (
     EXACT_BLOCK,
     exact_llr,
@@ -18,11 +18,6 @@ from demapsim.reference import (
 )
 
 from oracles import brute_maxlog_llr, gather_maxlog_llr, naive_exact_llr, whole_array_exact_llr
-
-
-@pytest.fixture(scope="module")
-def c():
-    return build_pam8()
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +265,20 @@ class TestAgreementProperties:
 def test_bit_position_outside_1_to_3_rejected(c, p10, fn, k):
     with pytest.raises(ValueError, match=rf"bit position k must be 1, 2 or 3, got {k}$"):
         fn(0.1, k, c, p10)
+
+
+@pytest.mark.parametrize("fn", [exact_llr, maxlog_llr])
+@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_bit_position_must_be_an_int(c, p10, fn, k):
+    # True once gave bit 1's LLR, and 1.0 a TypeError from a tuple index
+    with pytest.raises(ValueError, match=rf"bit position k must be 1, 2 or 3, got {re.escape(repr(k))}$"):
+        fn(0.1, k, c, p10)
+
+
+@pytest.mark.parametrize("fn", [exact_llr, maxlog_llr])
+def test_numpy_bit_position_is_accepted(c, p10, fn):
+    r = np.linspace(-1.5, 1.5, 7)
+    np.testing.assert_array_equal(fn(r, np.int64(2), c, p10), fn(r, 2, c, p10))
 
 
 def test_import_does_not_load_scipy():
