@@ -8,7 +8,7 @@ value for a fixed plateau time before relaxation begins (plateau time
 zero in MOSFET mode).  One engine, ``_settle``, gives the output at
 chosen instants of every symbol: ``sampled_outputs`` asks it for the
 sampling instant and ``simulate_transient`` for every step of the trace,
-so the two agree by construction.
+so the two agree by construction.  Exit flags come from ``_exit_table``.
 """
 
 from __future__ import annotations
@@ -59,16 +59,37 @@ class TransientTrace:
     vout: np.ndarray
 
 
+def _exit_table(cells, all_cells) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges, each distinct vref of ``all_cells`` and the next float up,
+    and per step from bin p to bin q, at p * (edges.size + 1) + q, whether
+    it turns one of ``cells`` on.  Activity changes only at a vref, so a
+    bin's lower edge (for the first, a float below) stands for the bin."""
+    vrefs = np.array(sorted({cell.vref for cell in all_cells}))
+    edges = np.column_stack((vrefs, np.nextafter(vrefs, np.inf))).ravel()
+    act = np.array([cell_ideal_active(np.append(np.nextafter(vrefs[0], -np.inf), edges), cell) for cell in cells])
+    return edges, np.any(~act[:, :, None] & act[:, None, :], axis=0).ravel()
+
+
+def _exit_steps(vin_sorted: np.ndarray, order: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each symbol boundary's index into an ``_exit_table`` of ``edges``,
+    from where each edge falls in the inputs that ``order`` sorts."""
+    counts = np.diff(np.searchsorted(vin_sorted, edges), prepend=0, append=vin_sorted.size)
+    bins = np.empty(vin_sorted.size, dtype=np.intp)
+    bins[order] = np.repeat(np.arange(counts.size), counts)
+    return bins[:-1] * counts.size + bins[1:]
+
+
 def _exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
-    """Vectorized saturation-exit flags for each symbol boundary.
+    """Saturation-exit flags for each symbol boundary, from the cells'
+    ``_exit_table`` and each symbol's bin.
 
     flags[i] refers to the transition into symbol i; flags[0] is False
     (the trace starts settled, with no stored charge).
     """
-    act = np.stack([cell_ideal_active(vin_seq, cell) for cell in cells])
+    (edges, table), vin_seq = _exit_table(cells, cells), np.asarray(vin_seq, dtype=float)
+    order = np.argsort(vin_seq)
     flags = np.zeros(vin_seq.size, dtype=bool)
-    if vin_seq.size > 1:
-        flags[1:] = np.any((~act[:, :-1]) & act[:, 1:], axis=0)
+    flags[1:] = table.take(_exit_steps(vin_seq[order], order, edges))
     return flags
 
 
@@ -124,43 +145,52 @@ def _settle(targets, flags, symbol_rate: float, dp: DynamicsParams, times: np.nd
     The plateau left at symbol i depends only on the symbols since the
     last saturation exit (``flags[0]`` is ignored), so it is looked up in
     a short table of the values a plateau passes through, one period at
-    a time; the table also holds, per plateau value and time, whether
-    the output is still held and the decay factor that applies
-    otherwise, with the symbol end as a last column.  The boundary
-    voltages follow v_b[i] = a[i]*v_b[i-1] + (1 - a[i])*tgt[i], with
-    a = 1 for a symbol held to its end, computed by a log-depth prefix
-    scan; each sample then follows from v_b[i-1] in one step.
+    a time, down to its first zero; the table also holds, per plateau
+    value and time, whether the output is still held and the decay factor
+    that applies otherwise, with the symbol end as a last column.  The
+    boundary voltages follow v_b[i] = a[i]*v_b[i-1] + (1 - a[i])*tgt[i],
+    with a = 1 for a symbol held to its end, computed by a log-depth
+    prefix scan; each sample then follows from v_b[i-1] in one step.
+    Only a table of three rows or more needs each symbol's last exit:
+    with two, its own flag picks its row, and with one, a[i] is one value.
     """
     period = 1.0 / symbol_rate
     tgt = np.asarray(targets, dtype=float)
     n = tgt.size
 
-    # plateau values after an exit, one period apart, then 0.0 for "no
-    # exit yet"; never more entries than there are symbols
+    # plateau values after an exit, one period apart, down to the first
+    # zero; one still running after n symbols is never looked up
     plateaus = [dp.t_plateau]
-    while plateaus[-1] > 0.0 and len(plateaus) < n:
-        plateaus.append(max(0.0, plateaus[-1] - period))
-    plateaus.append(0.0)
+    while plateaus[-1] > 0.0:
+        plateaus.append(max(0.0, plateaus[-1] - period) if len(plateaus) < n else 0.0)
     relax = np.append(times, period) - np.array(plateaus)[:, None]
     hold = relax <= 0.0
     decay = np.array([math.exp(-x / dp.tau) for x in np.maximum(relax, 0.0).ravel().tolist()]).reshape(hold.shape)
 
-    idx = np.arange(n)
-    last_exit = np.where(flags, idx, -1)
-    last_exit[0] = -1
-    np.maximum.accumulate(last_exit, out=last_exit)
-    row = np.minimum(np.where(last_exit < 0, n, idx - last_exit), len(plateaus) - 1)
+    if len(plateaus) == 1:
+        a, held, decays = decay[0, -1], hold[0, :-1], decay[0, :-1]
+    else:
+        if len(plateaus) == 2:  # row 0 at an exit, else row 1
+            row = np.logical_not(flags).view(np.uint8)
+        else:
+            idx = np.arange(n)
+            last_exit = np.where(flags, idx, -1)
+            last_exit[0] = -1
+            np.maximum.accumulate(last_exit, out=last_exit)
+            row = np.minimum(np.where(last_exit < 0, n, idx - last_exit), len(plateaus) - 1)
+        a, r = decay[:, -1].take(row), row[1:]
+        a[0] = 0.0
+        held, decays = hold[:, :-1].take(r, axis=0), decay[:, :-1].take(r, axis=0)
 
     # v_b[i] = a[i]*v_b[i-1] + b[i]; a[0] = 0 starts the trace settled
-    a = decay[:, -1].take(row)
-    a[0] = 0.0
     b = (1.0 - a) * tgt
-    _affine_scan_(a, b)
+    b[0] = tgt[0]
+    (_affine_scan_ if np.ndim(a) else _geometric_scan_)(a, b)
 
     out = np.empty((n, relax.shape[1] - 1))
     out[0] = tgt[0]
-    prev, t, r = b[:-1, None], tgt[1:, None], row[1:]
-    out[1:] = np.where(hold[:, :-1].take(r, axis=0), prev, t + (prev - t) * decay[:, :-1].take(r, axis=0))
+    prev, t = b[:-1, None], tgt[1:, None]
+    out[1:] = np.where(held, prev, t + (prev - t) * decays)
     return out
 
 
@@ -176,6 +206,16 @@ def _affine_scan_(a: np.ndarray, b: np.ndarray) -> None:
     while d < a.size and a.any():
         b[d:] += a[d:] * b[:-d]
         a[d:] *= a[:-d]
+        d *= 2
+
+
+def _geometric_scan_(alpha: float, b: np.ndarray) -> None:
+    """``_affine_scan_`` of a[0] = 0 and a[1:] = ``alpha`` bit for bit: before the
+    step of width d, every a[i >= d] is alpha squared log2(d) times."""
+    d = 1
+    while d < b.size and alpha != 0.0:
+        b[d:] += alpha * b[:-d]
+        alpha *= alpha
         d *= 2
 
 
@@ -208,13 +248,17 @@ def ber_vs_rate(
     if not all(0 < rate < math.inf for rate in rates):
         raise ValueError(f"symbol rates must be positive and finite, got {rates}")
     params = channel.from_snr_db(snr_db)
+    exits = []  # once per sweep: per demapper with a plateau, an exit table per bit on shared bin edges
+    for d, _, dp in sweeps.values():
+        cells = [cell for k in (1, 2, 3) for cell in d.cells_for_bit(k)]
+        exits.append({k: _exit_table(d.cells_for_bit(k), cells) for k in (1, 2, 3)} if dp.t_plateau else None)
 
     rows = {mode_id: [] for mode_id in sweeps}
     for rate_index, rate in enumerate(rates):
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
             order = np.argsort(r)  # one sort for every demapper and bit
-            return np.array([_chunk_errors(bits, r, order, rate, *sweep) for sweep in sweeps.values()])
+            return np.array([_chunk_errors(bits, r, order, rate, *sweep, e) for sweep, e in zip(sweeps.values(), exits)])
 
         errors = sum(channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers))
         for mode_rows, e in zip(rows.values(), errors):
@@ -222,20 +266,23 @@ def ber_vs_rate(
     return rows
 
 
-def _chunk_errors(bits, r, order, rate: float, d: AnalogDemapper, output_maps: dict, dp: DynamicsParams) -> int:
+def _chunk_errors(bits, r, order, rate: float, d: AnalogDemapper, output_maps: dict, dp: DynamicsParams, exits) -> int:
     """Bit errors of one demapper on a chunk, given the order that sorts r.
 
-    An input map has positive scale, so ``vin[order]`` is ascending too;
-    the targets go back to symbol order.  Returning frees this
+    An input map has positive scale, so ``vin_sorted`` is ascending too;
+    the targets go back to symbol order.  ``exits`` maps each bit to its
+    ``_exit_table`` if the demapper has a plateau.  Returning frees this
     demapper's arrays before the next one runs.
     """
-    vin = d.input_map(r)
-    vin_sorted = vin[order]
-    targets = np.empty_like(vin)
+    vin_sorted = d.input_map(r)[order]
+    targets = np.empty_like(vin_sorted)
+    flags = np.zeros(vin_sorted.size, dtype=bool)  # kept without a plateau: no flag can matter
+    steps = _exit_steps(vin_sorted, order, exits[1][0]) if exits else None
     errors = 0
     for k in (1, 2, 3):
         targets[order] = demap_static(vin_sorted, d, k)
-        flags = _exit_flags(vin, d.cells_for_bit(k))
+        if exits:
+            flags = np.concatenate(([False], exits[k][1].take(steps)))
         llr = output_maps[k](sampled_outputs(targets, flags, rate, dp))
         errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
     return errors

@@ -22,7 +22,7 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -364,10 +364,12 @@ def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
     The table is a list of segments.  A segment is a dict in which each
     field maps either to a 1-d float array, one cell per row, or to one
     value shared by all of the segment's rows (a missing field is None).
-    Its arrays have one length, the segment's row count; a segment with
-    no array is one row, so a plain row dict is a one-row segment.  An
-    array object written more than once is formatted once, so a repeated
-    column should be one object, as ``run_llr_curves``'s ``vin_v`` is.
+    Its arrays have one length, the segment's row count, or it is a
+    ValueError; a segment with no array is one row, so a plain row dict
+    is a one-row segment.  An array object written more than once is
+    formatted once, so a repeated column should be one object, as
+    ``run_llr_curves``'s ``vin_v`` is.  Each run of adjacent shared
+    fields is joined once, and each segment written with one ``write``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -376,21 +378,25 @@ def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         # the header is a one-row segment of the field names
         for segment in (dict(zip(fieldnames, fieldnames)), *segments):
-            arrays = [v for v in segment.values() if isinstance(v, np.ndarray)]
-            n = arrays[0].size if arrays else 1
-            if any(a.shape != (n,) for a in arrays):
-                raise ValueError(f"segment arrays must be 1-d of one length, got shapes {[a.shape for a in arrays]}")
-            columns = [
-                repeat(_csv_cell(v), n) if not isinstance(v, np.ndarray)
-                else map(float.__repr__, v.tolist()) if uses[id(v)] < 2
-                else shared[id(v)] if id(v) in shared
-                else shared.setdefault(id(v), list(map(float.__repr__, v.tolist())))
-                for v in map(segment.get, fieldnames)
-            ]
-            lines = map(",".join, zip(*columns)) if columns else repeat("", n)
-            if len(fieldnames) == 1:  # csv.writer quotes a lone empty field
-                lines = ('""' if line == "" else line for line in lines)
-            fh.writelines(line + "\n" for line in lines)
+            arrays = {name: v for name, v in segment.items() if isinstance(v, np.ndarray)}
+            n = next(iter(arrays.values())).size if arrays else 1
+            for name, a in arrays.items():
+                if a.shape != (n,) or a.dtype.kind != "f":
+                    raise ValueError(f"segment arrays must be 1-d of one length and hold floats, "
+                                     f"got {name!r} of shape {a.shape} and dtype {a.dtype}")
+            columns = []  # each run of shared fields as one joined cell, each array as its cells
+            for is_array, run in groupby(map(segment.get, fieldnames), lambda v: isinstance(v, np.ndarray)):
+                columns += [
+                    map(float.__repr__, v.tolist()) if uses[id(v)] < 2
+                    else shared[id(v)] if id(v) in shared
+                    else shared.setdefault(id(v), list(map(float.__repr__, v.tolist())))
+                    for v in run
+                ] if is_array else [",".join(map(_csv_cell, run))]
+            if columns == [""] and len(fieldnames) == 1:
+                columns = ['""']  # csv.writer quotes a lone empty field
+            lines = zip(*(repeat(c, n) if isinstance(c, str) else c for c in columns or [""]))
+            if n:
+                fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def write_metadata(csv_path, cfg: dict, extra: dict) -> Path:
@@ -421,6 +427,8 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
     vmin, vmax = (float(v) for v in cfg["input_window_v"])
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
     r = np.asarray(bench.imap.inverse(vin))
+    # an analog mode's uncalibrated curve does not depend on the SNR
+    curves = {m: {k: demap_static(d.input_map(r), d, k) for k in (1, 2, 3)} for m, d in bench.demappers.items()}
     segments = []
     for snr_db in (float(s) for s in cfg["llr_snr_db"]):
         output_maps = bench.calibrate(snr_db)
@@ -433,7 +441,7 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
                     "k": k,
                     "vin_v": vin,
                     "r": r,
-                    "llr": fn(r, k),
+                    "llr": maps[k](curves[mode_id][k]) if maps else fn(r, k),
                     "gamma": maps[k].scale if maps else None,
                     "zeta": maps[k].offset if maps else None,
                 }

@@ -94,8 +94,9 @@ class DemapperEvaluation:
     gmi_minus_ref_se: float | None = None
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
+        n = self.n_samples
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_samples must be positive (an integer of at least 1), got {n!r}")
         if not 0 <= self.errors <= self.bits:
             raise ValueError(f"invalid error count {self.errors}/{self.bits}")
 

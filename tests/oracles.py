@@ -10,7 +10,8 @@ quadrature of the defining expectation, the analog cell oracle is
 the softplus hinge written with np.logaddexp, the full-array analog
 oracles are the cell kernel's formula applied to every value, the
 settling oracles are
-the per-symbol and per-step loops, and the CSV oracle is ``csv.writer``
+the per-symbol and per-step loops, the exit-flag oracle evaluates
+every cell at every symbol, and the CSV oracle is ``csv.writer``
 fed one formatted cell at a time, on row dicts that ``segment_rows``
 expands from segments.
 """
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from demapsim.analog import AnalogDemapper, CellSpec, demap_static
+from demapsim.analog import AnalogDemapper, CellSpec, cell_ideal_active, demap_static
 from demapsim.constellation import Constellation
-from demapsim.dynamics import TransientTrace, _exit_flags
+from demapsim.dynamics import TransientTrace
 
 
 def class_indices(k: int, b: int, c: Constellation) -> np.ndarray:
@@ -152,6 +153,17 @@ def full_array_demap_static(vin, d: AnalogDemapper, k: int) -> np.ndarray:
     return d.vdd - total
 
 
+def cellwise_exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
+    """Saturation-exit flags from every cell's ideal activity at every
+    symbol: flags[i] is whether some cell is off at symbol i-1 and on at
+    symbol i; flags[0] is False."""
+    act = np.stack([cell_ideal_active(vin_seq, cell) for cell in cells])
+    flags = np.zeros(vin_seq.size, dtype=bool)
+    if vin_seq.size > 1:
+        flags[1:] = np.any((~act[:, :-1]) & act[:, 1:], axis=0)
+    return flags
+
+
 def loop_sampled_outputs(targets, flags, symbol_rate: float, dp) -> np.ndarray:
     """Sampled settling outputs by an explicit per-symbol loop."""
     period = 1.0 / symbol_rate
@@ -193,7 +205,7 @@ def loop_simulate_transient(
     vin_seq = np.asarray(d.input_map(r_seq), dtype=float)
     targets = demap_static(vin_seq, d, k)
     cells = d.cells_for_bit(k)
-    flags = _exit_flags(vin_seq, cells)
+    flags = cellwise_exit_flags(vin_seq, cells)
 
     n_steps = r_seq.size * samples_per_symbol
     time = np.arange(n_steps + 1) * dt

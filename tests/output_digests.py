@@ -3,11 +3,11 @@
     PYTHONPATH=src python tests/output_digests.py OUT.json
 
 runs all four experiments under each config of ``MATRIX`` and writes
-``{"<config>/<file>": sha256}`` for every CSV and ``.meta.json``, 40
+``{"<config>/<file>": sha256}`` for every CSV and ``.meta.json``, 48
 files in all.  A change that must keep every output byte is checked by
 running this script in both checkouts (copy it into the older one) and
 comparing the two JSON files with ``diff``.  pytest does not collect
-this file; the matrix takes about 10 s on a 2-core Xeon.
+this file; the matrix takes about 12 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ MATRIX = {
     "golden-seed7": ({**GOLDEN_CONFIG, "seed": 7}, {}),
     "workers2": ({"n_workers": 2, "n_samples": 200_000, "n_symbols": 40_000}, {}),
     "modes": ({"modes": ["maxlog", "analog-mosfet"]}, SHORT),
+    # a 5 ns BJT plateau outlasts a period from 250 Msps on: settling tables of three rows or more
+    "plateau": ({"rates_sps": [2.5e8, 5e8, 1e9, 2e9], "dynamics": {"t_plateau_bjt_s": 5e-9}}, SHORT),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -9,8 +11,11 @@ from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, in
 from demapsim.channel import draw, from_snr_db, transmit
 from demapsim.constellation import build_pam8
 from demapsim.dynamics import (
+    SETTLED_CHUNK_SYMBOLS,
     DynamicsParams,
+    _affine_scan_,
     _exit_flags,
+    _geometric_scan_,
     ber_vs_rate,
     sampled_outputs,
     simulate_transient,
@@ -19,7 +24,7 @@ from demapsim.harness import DEFAULT_CONFIG
 from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr
 from demapsim.analog import CellSpec
-from oracles import loop_sampled_outputs, loop_simulate_transient
+from oracles import cellwise_exit_flags, loop_sampled_outputs, loop_simulate_transient
 
 
 def bjt_params(**kwargs):
@@ -102,6 +107,47 @@ class TestSaturationExit:
         prev = float(imap(-7 * c.d))
         nxt = float(imap(-5 * c.d))
         assert not _exit_flags(np.array([prev, nxt]), bjt.cells_for_bit(1))[1]
+
+    @staticmethod
+    def tie_heavy_inputs(d, n, seed):
+        """Inputs of which about half lie exactly on a vref or one ulp from one."""
+        vrefs = np.array(sorted({cell.vref for k in (1, 2, 3) for cell in d.cells_for_bit(k)}))
+        ties = np.concatenate([vrefs, np.nextafter(vrefs, -np.inf), np.nextafter(vrefs, np.inf)])
+        rng = np.random.default_rng(seed)
+        vin = rng.uniform(d.vin_min - 0.05, d.vin_max + 0.05, n)
+        pick = rng.random(n) < 0.5
+        vin[pick] = rng.choice(ties, int(pick.sum()))
+        return vin
+
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
+    def test_equal_to_the_cellwise_oracle_at_ties(self, c, imap, preset):
+        d = build_demapper(c, imap, preset)
+        for seed in range(40):  # seeds 0, 1 and 2 also check the shortest inputs
+            vin = self.tie_heavy_inputs(d, 400 if seed > 2 else seed, seed)
+            for k in (1, 2, 3):
+                cells = d.cells_for_bit(k)
+                np.testing.assert_array_equal(_exit_flags(vin, cells), cellwise_exit_flags(vin, cells))
+
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
+    def test_sweep_flags_equal_the_cellwise_oracle_at_ties(self, c, imap, preset, monkeypatch):
+        # the sweep's path: each symbol's bin from the sorted chunk, one table per bit and sweep
+        d = dataclasses.replace(build_demapper(c, imap, preset), input_map=AffineMap(scale=1.0, offset=0.0))
+        chunks, seen = [], []
+
+        def tie_draw(c, params, seed, stream, chunk_index, n):
+            chunks.append(self.tie_heavy_inputs(d, n, 100 * stream + chunk_index))
+            return np.zeros((n, 3), dtype=np.uint8), chunks[-1]  # the identity input map: vin is r
+
+        monkeypatch.setattr(dynamics.channel, "draw", tie_draw)
+        monkeypatch.setattr(dynamics, "sampled_outputs", lambda targets, flags, rate, dp: seen.append(flags) or targets)
+        maps = {k: AffineMap(scale=1.0, offset=0.0) for k in (1, 2, 3)}
+        sweeps = {"plateau": (d, maps, bjt_params()), "none": (d, maps, mosfet_params())}
+        ber_vs_rate([1e8, 2e9], 10.0, sweeps, 2 * SETTLED_CHUNK_SYMBOLS + 500, 1, c)
+        assert len(chunks) == 6 and len(seen) == 6 * 6  # 2 rates x 3 chunks; 2 modes x 3 bits each
+        for vin, flags in zip(chunks, (seen[i : i + 6] for i in range(0, len(seen), 6))):
+            for k in (1, 2, 3):
+                np.testing.assert_array_equal(flags[k - 1], cellwise_exit_flags(vin, d.cells_for_bit(k)))
+                assert not flags[k + 2].any()  # no plateau: flags cannot matter
 
 
 class TestTransient:
@@ -363,6 +409,28 @@ class TestSampledOutputs:
         targets, flags = settling_inputs(bjt, 1, 300, seed=13)
         for rate in (5e8, 2e9):
             self.assert_matches_loop(targets, flags, rate, dp)
+
+    @pytest.mark.parametrize("rate", [5e7, 1e8, 2.5e8, 5e8, 1e9, 2e9])
+    def test_matches_loop_with_a_five_ns_plateau(self, bjt, rate):
+        # the plateau table: two rows while a period outlasts the plateau, three or more from 250 Msps
+        dp = bjt_params(t_plateau_bjt=5e-9)
+        for k in (1, 2, 3):
+            targets, flags = settling_inputs(bjt, k, 3000, seed=int(rate) % 983 + k)
+            assert flags.any()
+            self.assert_matches_loop(targets, flags, rate, dp)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, SETTLED_CHUNK_SYMBOLS])
+    def test_geometric_scan_is_the_affine_scan_bit_for_bit(self, n):
+        # the engine's scan without a plateau: a[0] = 0 and every other a[i] one value
+        rng = np.random.default_rng(n)
+        for alpha in (0.0, 5e-324, math.exp(-50.0), math.exp(-5.0), 0.5, 0.999, 1.0):
+            b = rng.normal(size=n)
+            a = np.full(n, alpha)
+            a[:1] = 0.0
+            want, got = b.copy(), b.copy()
+            _affine_scan_(a, want)
+            _geometric_scan_(alpha, got)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("sps, fraction", [(20, 0.95), (16, 0.5), (4, 1.0)])

@@ -774,6 +774,32 @@ class TestWriteCsv:
         self.assert_same_segment_bytes(tmp_path, ["s"], segments)
         self.assert_same_segment_bytes(tmp_path, [], segments)
 
+    def test_constant_runs_between_arrays(self, tmp_path):
+        # each run of shared fields is joined once: runs at the start, between arrays and at the end
+        x = np.array(self.EDGE_FLOATS)
+        fields = ["a", "b", "x", "c", "y", "d", "e", "z", "f"]
+        segments = [
+            {"a": 1, "b": "two,2", "x": x, "c": None, "y": -x, "d": -0.0, "e": "", "z": x[::-1].copy(), "f": True},
+            {"x": x, "y": x, "z": x},
+            {"a": "only", "c": 3.5, "f": None, "x": np.linspace(0.0, 1.0, 9), "y": np.zeros(9), "z": np.ones(9)},
+            {"a": np.float32(0.1), "x": 2.0, "y": x, "z": -x, "e": 'say "hi"'},
+        ]
+        self.assert_same_segment_bytes(tmp_path, fields, segments)
+        self.assert_same_segment_bytes(tmp_path, ["x", "a", "b", "y"], segments)
+
+    @pytest.mark.parametrize("fieldnames", [["x", "s"], ["s"], ["x"], []])
+    def test_zero_row_segment_between_two_others(self, tmp_path, fieldnames):
+        # a zero-row segment writes nothing, not even a line end
+        segments = [{"x": np.array([1.5, -0.0]), "s": "before"}, {"x": np.array([]), "s": ""}, {"s": ""}]
+        self.assert_same_segment_bytes(tmp_path, fieldnames, segments)
+        self.assert_same_segment_bytes(tmp_path, fieldnames, [segments[2], segments[1], segments[0]])
+
+    @pytest.mark.parametrize("values", [np.arange(3), np.array([True, False, True]), np.array([1 + 2j])])
+    def test_non_float_arrays_rejected(self, tmp_path, values):
+        # an int array once failed inside float.__repr__ with a bare TypeError
+        with pytest.raises(ValueError, match=rf"hold floats, got 'a' of shape \({values.size},\) and dtype {values.dtype}$"):
+            write_csv(tmp_path / "bad.csv", ["a"], [{"a": values}])
+
     @pytest.mark.parametrize(
         "segment",
         [

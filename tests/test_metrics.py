@@ -137,6 +137,13 @@ class TestEstimateTypes:
         with pytest.raises(ValueError, match="n_samples must be positive"):
             evaluation(n_samples=n)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3"])
+    def test_sample_count_must_be_an_int(self, n):
+        # True once gave 3 bits, and 2.5 gave 7.5 bits and a BER of 0.1333 for one error
+        with pytest.raises(ValueError, match=rf"^n_samples must be positive \(an integer of at least 1\), got {re.escape(repr(n))}$"):
+            evaluation(n_samples=n, errors=1)
+        assert evaluation(n_samples=np.int64(3), errors=1).bits == 9
+
     def test_ber_counts_validated(self):
         with pytest.raises(ValueError):
             evaluation(n_samples=1, errors=5)
