@@ -85,7 +85,9 @@ def draw(c: Constellation, p: ChannelParams, seed: int, stream: int, chunk_index
     idx = rng.integers(0, c.points.size, n)
     # uint8 is an eighth of the memory of int labels; np.take gathers far faster than indexing
     bits = np.take(c.labels.T.astype(np.uint8), idx, axis=1).T
-    return bits, transmit(c.points[idx], p, rng)
+    x = c.points[idx]
+    del idx  # freed before the noise draw; the stream makes the same calls in the same order
+    return bits, transmit(x, p, rng)
 
 
 @functools.cache

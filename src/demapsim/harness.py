@@ -162,11 +162,15 @@ def _require_number(
     return x
 
 
-def _require_number_list(cfg: dict, key: str, minimum: float | None = None) -> list[float]:
+def _require_number_list(cfg: dict, key: str, minimum: float | None = None, *, distinct: bool = False) -> list[float]:
     value = cfg.get(key)
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(f"{key}: must be a non-empty list of numbers")
-    return [_require_number(item, key, minimum) for item in value]
+    numbers = [_require_number(item, key, minimum) for item in value]
+    for i, x in enumerate(numbers):
+        if distinct and x in numbers[:i]:  # compared as numbers, so 10 and 10.0 collide
+            raise ConfigError(f"{key}: {value[i]!r} is listed more than once")
+    return numbers
 
 
 def _require_mapping(value, field: str) -> dict:
@@ -211,7 +215,7 @@ def validate_config(cfg: dict, experiment: str) -> dict:
         _require_int(cfg.get(key), key, minimum)
     if cfg["n_workers"] > N_WORKERS_MAX:
         raise ConfigError(f"n_workers: {cfg['n_workers']} must be at most {N_WORKERS_MAX}")
-    snrs = {key: _require_number_list(cfg, key) for key in ("snr_db", "llr_snr_db")}
+    snrs = {key: _require_number_list(cfg, key, distinct=True) for key in ("snr_db", "llr_snr_db")}
     snrs["ber_snr_db"] = [_require_number(cfg.get("ber_snr_db"), "ber_snr_db")]
     for key, values in snrs.items():
         for snr_db in values:
@@ -220,7 +224,7 @@ def validate_config(cfg: dict, experiment: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     _require_int(cfg.get("llr_grid_points"), "llr_grid_points", 2)
-    _require_number_list(cfg, "rates_sps", minimum=0.0)
+    _require_number_list(cfg, "rates_sps", minimum=0.0, distinct=True)
     tr = _require_mapping(cfg.get("transitions"), "transitions")
     _require_number(tr.get("symbol_rate_sps"), "transitions.symbol_rate_sps", 0.0)
     _require_int(tr.get("samples_per_symbol"), "transitions.samples_per_symbol", 2)
@@ -402,9 +406,8 @@ def write_csv(path, fieldnames: list[str], segments: list[dict]) -> None:
 def write_metadata(csv_path, cfg: dict, extra: dict) -> Path:
     meta_path = Path(str(csv_path) + ".meta.json")
     payload = {"demapsim_version": __version__, "config": cfg, **extra}
-    with open(meta_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    # one write: json.dump would make about 2,000 small ones
+    meta_path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
     return meta_path
 
 

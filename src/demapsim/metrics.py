@@ -127,15 +127,16 @@ def _eval_chunk(llr_fns, bits, r, ref_id):
     sums = np.zeros((len(llr_fns), 11))
     for i, name in sorted(enumerate(llr_fns), key=lambda row: row[1] != ref_id):  # the reference first, for pairing
         fn, t = llr_fns[name], sums[i]
-        sym = np.zeros(r.size)  # per-symbol sum, then mean, of the bit summands
+        # every chunk-length array is deleted at its last read, so none outlives it into the next LLR call
         for k in (1, 2, 3):
             llr = fn(r, k)
+            t[10] += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
             s = mi_summands(bits[:, k - 1], llr)
+            del llr
             t[k - 1] = s.sum()
             t[k + 4] = (s * s).sum()
-            sym += s
-            del s  # not alive while the next rule runs
-            t[10] += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
+            sym = s if k == 1 else np.add(sym, s, out=sym)  # per-symbol sum, then mean; 0 + s == s, so no zero fill
+            del s
         if not np.isfinite(t[:3]).all():
             raise ValueError(f"demapper {name!r}: its LLRs give non-finite information (a NaN, or an inf of the wrong sign)")
         sym /= 3.0
@@ -144,9 +145,10 @@ def _eval_chunk(llr_fns, bits, r, ref_id):
         if name == ref_id:
             ref_sym = sym
         elif ref_id is not None:  # the reference ran first
-            diff = np.subtract(ref_sym, sym, out=sym)  # negative when this demapper loses rate
-            t[4] = diff.sum()
-            t[9] = (diff * diff).sum()
+            np.subtract(ref_sym, sym, out=sym)  # ref - this: negative when this demapper loses rate
+            t[4] = sym.sum()
+            t[9] = (sym * sym).sum()
+        del sym
     return sums
 
 

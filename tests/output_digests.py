@@ -1,13 +1,17 @@
-"""Write the sha256 of every output file of a fixed run matrix.
+"""Write, or check, the sha256 of every output file of a fixed run matrix.
 
     PYTHONPATH=src python tests/output_digests.py OUT.json
+    PYTHONPATH=src python tests/output_digests.py --against OLD.json
 
-runs all four experiments under each config of ``MATRIX`` and writes
-``{"<config>/<file>": sha256}`` for every CSV and ``.meta.json``, 48
-files in all.  A change that must keep every output byte is checked by
-running this script in both checkouts (copy it into the older one) and
-comparing the two JSON files with ``diff``.  pytest does not collect
-this file; the matrix takes about 12 s on a 2-core Xeon.
+Both run all four experiments under each config of ``MATRIX``, 48 CSV
+and ``.meta.json`` files in all.  ``OUT.json`` writes
+``{"<config>/<file>": sha256}`` for every file.  ``--against OLD.json``
+compares the fresh digests with a file written that way by an older
+checkout (copy this script into it): it prints every file whose sha256
+differs or that only one side has, and exits 1 on any difference, 0 if
+all match.  A change that must keep every output byte is checked so.
+pytest does not collect this file; the matrix takes about 12 s on a
+2-core Xeon.
 """
 
 from __future__ import annotations
@@ -51,7 +55,26 @@ def digests() -> dict[str, str]:
     return out
 
 
+def differences(fresh: dict[str, str], old: dict[str, str]) -> list[str]:
+    """One line per file whose digest differs or that only one of the two runs has."""
+    lines = []
+    for name in sorted(fresh.keys() | old.keys()):
+        if name not in old:
+            lines.append(f"only in this run: {name}")
+        elif name not in fresh:
+            lines.append(f"only in the older run: {name}")
+        elif fresh[name] != old[name]:
+            lines.append(f"sha256 differs: {name}")
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    if len(args) == 2 and args[0] == "--against":
+        old = json.loads(Path(args[1]).read_text())
+        lines = differences(digests(), old)
+        print("\n".join(lines) if lines else f"all {len(old)} files match {args[1]}")
+        sys.exit(1 if lines else 0)
+    if len(args) != 1 or args[0].startswith("-"):
         sys.exit(__doc__)
-    Path(sys.argv[1]).write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    Path(args[0]).write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

@@ -98,6 +98,20 @@ def test_outputs_match_golden(experiment, tmp_path):
     _assert_json(json.loads(meta.read_text()), json.loads(Path(str(golden) + ".meta.json").read_text()), "meta")
 
 
+def test_digest_check_names_every_difference():
+    # tests/output_digests.py --against prints these lines and exits 1 on any of them
+    from output_digests import differences
+
+    old = {"golden/a.csv": "1", "golden/b.csv": "2", "golden/gone.csv": "3"}
+    fresh = {"golden/a.csv": "1", "golden/b.csv": "9", "golden/new.csv": "4"}
+    assert differences(fresh, old) == [
+        "sha256 differs: golden/b.csv",
+        "only in the older run: golden/gone.csv",
+        "only in this run: golden/new.csv",
+    ]
+    assert differences(old, dict(old)) == []
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in EXPERIMENTS:

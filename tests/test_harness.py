@@ -143,6 +143,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             validate_config(cfg, "ber-vs-rate")
 
+    @pytest.mark.parametrize(
+        "key, values, shown, experiment",
+        [
+            ("snr_db", [10.0, 10.0], "10.0", "rate-penalty"),
+            ("snr_db", [0.0, 10.0, 10], "10", "rate-penalty"),  # compared as numbers
+            ("llr_snr_db", [4.0, 7, 7.0], "7.0", "llr-curves"),
+            ("llr_snr_db", [0.0, -0.0], "-0.0", "llr-curves"),
+            ("rates_sps", [1e8, 3.5e8, 100_000_000], "100000000", "ber-vs-rate"),
+        ],
+    )
+    def test_a_value_listed_twice_is_a_config_error(self, key, values, shown, experiment):
+        # each value makes its own rows, and two runs at one value wrote rows no reader could tell apart
+        with pytest.raises(ConfigError, match=rf"^{key}: {re.escape(shown)} is listed more than once$"):
+            validate_config(small_config(**{key: values}), experiment)
+
+    def test_values_an_ulp_apart_are_distinct(self):
+        cfg = small_config(snr_db=[10.0, np.nextafter(10.0, 11.0)], llr_snr_db=[1.0, 2.0], rates_sps=[1e8, 1e8 + 1])
+        for experiment in EXPERIMENTS:
+            validate_config(cfg, experiment)
+
     def test_n_workers_is_bounded(self):
         # each map_chunks call starts n_workers - 1 threads; no run or pool is started here
         validate_config(small_config(n_workers=64), "rate-penalty")

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from demapsim import metrics
-from demapsim.channel import draw, from_snr_db
+from demapsim.channel import DEFAULT_CHUNK_SIZE, draw, from_snr_db
+from demapsim.harness import Workbench, load_config
 from demapsim.metrics import (
     DemapperEvaluation,
     energy_per_bit,
@@ -323,3 +325,33 @@ class TestPairedEvaluation:
         a = evaluate_demappers(fns, c, p, 20_000, 7, stream=0)
         b = evaluate_demappers(fns, c, p, 20_000, 7, stream=1)
         assert a["exact"].gmi != b["exact"].gmi
+
+
+class TestChunkWorkingSet:
+    def test_one_chunk_holds_at_most_7_5_chunk_length_arrays(self):
+        # r, bits, the reference's per-symbol mean and one analog rule's working set: about 7.2
+        # arrays; a rule's accumulator or a bit's LLR kept alive into the next LLR call adds one
+        cfg = load_config(overrides={"n_workers": 1})
+        bench = Workbench.from_config(cfg)
+        bench.calibrate(7.0)
+        n = DEFAULT_CHUNK_SIZE
+
+        def run():
+            evaluate_demappers(
+                {m: bench.rule(m, 7.0) for m in cfg["modes"]}, bench.c, from_snr_db(7.0), n, 1,
+                ref_id="exact", n_workers=1, chunk_size=n,
+            )
+
+        run()  # warm-up: caches and lazy imports are not the chunk's working set
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert cfg["modes"] == ["exact", "maxlog", "analog-bjt", "analog-mosfet"]
+        assert peak <= 7.5 * 8 * n, f"{peak / (8 * n):.2f} chunk-length float64 arrays"
