@@ -18,9 +18,9 @@ leave their zero-output state on an upward input step are the ones
 guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
 
-Ascending input lets the cells skip their float64-trivial softplus
-regimes bit for bit (see ``cell_output_v``).  Nothing here sorts; the
-chunk jobs of ``metrics.evaluate_demappers`` and ``dynamics.ber_vs_rate`` do.
+On ``channel.Nodes`` the cells skip their float64-trivial softplus
+regimes bit for bit (see ``cell_output_v``).  Nothing here sorts or
+checks the order: the callers that sort or build their input mark it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calibration import AffineMap
-from .channel import from_snr_db
+from .channel import Nodes, from_snr_db
 from .constellation import Constellation, bit_row
 from .metrics import _SOFTPLUS_CLAMP, _softplus_
 from .reference import maxlog_segment_slopes
@@ -110,25 +110,6 @@ def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ascending_finite(v: np.ndarray) -> bool:
-    """Whether the 1-d array v is ascending; ValueError on a non-finite value.
-
-    A NaN breaks the order test and an inf can only be an end value of
-    ascending input, so there the two end values decide finiteness.
-    """
-    if v.ndim > 1:
-        raise ValueError(f"input voltage must be a scalar or a 1-d array, got shape {v.shape}")
-    ascending = bool(np.all(v[1:] >= v[:-1]))
-    if not np.all(np.isfinite(v[[0, -1]] if ascending and v.size else v)):
-        raise ValueError("input voltage must be finite")
-    return ascending
-
-
-class _Ascending(np.ndarray):
-    """View type of input that ``demap_static`` found ascending and finite:
-    its cells skip the scan, and each cell stays a call of its own."""
-
-
 def cell_output_v(vin, cell: CellSpec):
     """Signed contribution of one cell, in output volts.
 
@@ -163,14 +144,16 @@ def cell_output_v(vin, cell: CellSpec):
     little inside the edges (from about 33.3 up and from about -36.4
     down), so an argument an ulp out of order (exp and log1p rounding) could
     change slice at an edge but not its value, and at 0 by at most an ulp.
-    A cell never sorts: input that is not ascending takes the full
-    formula on every value (``metrics._softplus_``), which gives the
-    same bits.  Input from ``demap_static`` is checked there, once.
+    The slices run exactly on ``channel.Nodes``; any other input is checked
+    and takes the full formula (``metrics._softplus_``), with the same bits.
     """
-    vin_arr = np.asarray(vin, dtype=float)  # a plain ndarray, also for an _Ascending view
-    scalar = vin_arr.ndim == 0
-    v = np.atleast_1d(vin_arr)
-    softplus = _softplus_monotone_ if type(vin) is _Ascending or _ascending_finite(v) else _softplus_
+    v = np.atleast_1d(np.asarray(vin, dtype=float))  # a plain ndarray, also for a Nodes view
+    if type(vin) is not Nodes:
+        if v.ndim > 1:
+            raise ValueError(f"input voltage must be a scalar or a 1-d array, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("input voltage must be finite")
+    softplus = _softplus_monotone_ if type(vin) is Nodes else _softplus_
     u = _hinge_drive(v, cell)
     if cell.knee_eps == 0.0:
         y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
@@ -190,7 +173,7 @@ def cell_output_v(vin, cell: CellSpec):
             np.minimum(y, cell.isat_v, out=y)
     if cell.polarity == "neg":
         np.negative(y, out=y)
-    return float(y[0]) if scalar else y
+    return float(y[0]) if np.ndim(vin) == 0 else y
 
 
 def cell_ideal_active(vin, cell: CellSpec):
@@ -313,18 +296,10 @@ class AnalogDemapper:
 
 
 def demap_static(vin, d: AnalogDemapper, k: int):
-    """Static output voltage for bit k: vdd minus the branch difference.
-
-    Does not sort: ascending input is every cell's fast path (see
-    ``cell_output_v``); other input gives the same bits more slowly.
-    The order is checked once here, not once per cell.
-    """
-    cells = d.cells_for_bit(k)
-    v = np.asarray(vin, dtype=float)
-    if v.ndim == 1 and v.size and _ascending_finite(v):
-        vin = v.view(_Ascending)
+    """Static output voltage for bit k: vdd minus the branch difference, with ``vin``
+    passed to each cell as it is (``channel.Nodes`` take the fast path; see ``cell_output_v``)."""
     out = 0.0
-    for cell in cells:
+    for cell in d.cells_for_bit(k):
         out += cell_output_v(vin, cell)
     return d.vdd - out
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import Nodes
 from .constellation import Constellation
 
 # Per-bit calibration grid: uniform over [-7d - GRID_SIGMA_SPAN*sigma,
@@ -22,7 +23,8 @@ class AffineMap:
     offset: float
 
     def __call__(self, x):
-        return self.scale * np.asarray(x, dtype=float) + self.offset
+        y = self.scale * np.asarray(x, dtype=float) + self.offset
+        return y.view(Nodes) if type(x) is Nodes and self.scale > 0.0 else y  # rounding keeps a rising map's order
 
     def inverse(self, y):
         if self.scale == 0.0:

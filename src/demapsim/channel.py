@@ -21,6 +21,14 @@ from .constellation import Constellation
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 
+class Nodes(np.ndarray):
+    """A view (``a.view(Nodes)``) of a 1-d float64 array that is ascending and finite, made only by
+    the code that sorted or built it: nothing checks it.  The LLR rules trust it and take their sliced
+    paths (``reference.maxlog_llr``, ``analog.cell_output_v``); any other array takes their general
+    path, which checks it and gives the same bits more slowly.  A rising ``AffineMap`` keeps it; numpy
+    keeps the type through slicing and ufuncs too, so transform ``np.asarray(nodes)``, not the view."""
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     snr_db: float

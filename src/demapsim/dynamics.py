@@ -269,13 +269,13 @@ def ber_vs_rate(
 def _chunk_errors(bits, r, order, rate: float, d: AnalogDemapper, output_maps: dict, dp: DynamicsParams, exits) -> int:
     """Bit errors of one demapper on a chunk, given the order that sorts r.
 
-    An input map has positive scale, so ``vin_sorted`` is ascending too;
-    the targets go back to symbol order.  ``exits`` maps each bit to its
-    ``_exit_table`` if the demapper has a plateau.  Returning frees this
-    demapper's arrays before the next one runs.
+    An input map has positive scale, so ``vin_sorted`` is ascending too:
+    ``channel.Nodes``.  The targets go back to symbol order.  ``exits``
+    maps each bit to its ``_exit_table`` if the demapper has a plateau.
+    Returning frees this demapper's arrays before the next one runs.
     """
-    vin_sorted = d.input_map(r)[order]
-    targets = np.empty_like(vin_sorted)
+    vin_sorted = d.input_map(r)[order].view(channel.Nodes)
+    targets = np.empty(vin_sorted.size)  # not empty_like: targets in symbol order are no nodes
     flags = np.zeros(vin_sorted.size, dtype=bool)  # kept without a plateau: no flag can matter
     steps = _exit_steps(vin_sorted, order, exits[1][0]) if exits else None
     errors = 0

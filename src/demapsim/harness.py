@@ -39,7 +39,7 @@ from .analog import (
     demapper_to_dict,
 )
 from .calibration import AffineMap, calibration_grid, fit_output_map, input_map
-from .channel import DEFAULT_CHUNK_SIZE, from_snr_db
+from .channel import DEFAULT_CHUNK_SIZE, Nodes, from_snr_db
 from .constellation import Constellation, build_pam8
 from .dynamics import (
     DynamicsParams,
@@ -299,8 +299,8 @@ class Workbench:
         maps = {}
         if self.demappers:
             params = from_snr_db(snr_db)
-            grid = calibration_grid(self.c, params.sigma)
-            # the input voltages and reference LLRs are shared by every mode
+            grid = calibration_grid(self.c, params.sigma).view(Nodes)  # built ascending
+            # the input voltages (nodes too: a rising map of nodes) and reference LLRs are shared by every mode
             vin = self.imap(grid)
             refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
             maps = {
@@ -311,11 +311,15 @@ class Workbench:
         return maps
 
     def rule(self, mode_id: str, snr_db: float):
-        """The LLR callable (r, k) -> array of ``mode_id`` at ``snr_db``;
-        an analog mode uses the maps ``calibrate(snr_db)`` recorded."""
+        """The LLR callable (r, k) -> array of ``mode_id`` at ``snr_db``; an analog mode uses
+        the maps ``calibrate(snr_db)`` recorded.  ValueError for an unknown id or missing maps."""
         if mode_id in PRESETS:
-            demapper, per_bit = self.demappers[mode_id], self.calibrations[snr_db][mode_id]
+            if (per_bit := self.calibrations.get(snr_db, {}).get(mode_id)) is None:
+                raise ValueError(f"{mode_id} has no calibration at {snr_db} dB: run calibrate({snr_db}) first")
+            demapper = self.demappers[mode_id]
             return lambda r, k: per_bit[k](demap_static(demapper.input_map(r), demapper, k))
+        if mode_id not in MODES:
+            raise ValueError(f"unknown demapper id {mode_id!r}; expected one of {MODES}")
         llr, params = {"exact": exact_llr, "maxlog": maxlog_llr}[mode_id], from_snr_db(snr_db)
         return lambda r, k: llr(r, k, self.c, params)
 
@@ -429,7 +433,7 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
     cfg = bench.cfg
     vmin, vmax = (float(v) for v in cfg["input_window_v"])
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
-    r = np.asarray(bench.imap.inverse(vin))
+    r = bench.imap.inverse(vin).view(Nodes)  # a rising map of an ascending grid; so is each d.input_map(r)
     # an analog mode's uncalibrated curve does not depend on the SNR
     curves = {m: {k: demap_static(d.input_map(r), d, k) for k in (1, 2, 3)} for m, d in bench.demappers.items()}
     segments = []

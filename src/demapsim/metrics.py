@@ -173,11 +173,11 @@ def evaluate_demappers(
     """Paired Monte Carlo evaluation of several LLR rules at one SNR.
 
     ``llr_fns`` maps a demapper id to a callable (r_array, k) -> LLR
-    array that is pointwise in r.  All rules see identical observations,
-    each chunk's in ascending order.  ``ref_id`` selects the rule
-    against which paired GMI differences are tracked.  ``channel.chunk_sizes``
-    checks ``n_symbols`` and ``chunk_size`` before any draw.  Each chunk job
-    sorts its draw and returns one row of sums per rule (layout in
+    array that is pointwise in r.  All rules see identical observations.
+    ``ref_id`` selects the rule against which paired GMI differences are
+    tracked.  ``channel.chunk_sizes`` checks ``n_symbols`` and ``chunk_size``
+    before any draw.  Each chunk job sorts its draw, passes it to every rule
+    as ``channel.Nodes`` and returns one row of sums per rule (layout in
     ``_eval_chunk``); ``sum`` adds them in chunk order, and every mean and
     standard error comes from them through ``_mean_se``.
     """
@@ -189,7 +189,7 @@ def evaluate_demappers(
         # rules are pointwise in r, so the chunk is evaluated and summed in ascending
         # r; its draw-order arrays and the permutation are freed before any rule runs
         order = np.argsort(r)
-        r = r[order]
+        r = r[order].view(channel.Nodes)
         bits = np.take(bits.T, order, axis=1).T  # column-major like the draw: each bit contiguous
         del order
         return _eval_chunk(llr_fns, bits, r, ref_id)

@@ -10,13 +10,14 @@ LLR is exactly piecewise linear: on the segment where a is the nearest
 class-0 point and b the nearest class-1 point it equals
 SNR * ((r - a)^2 - (r - b)^2) = 2 SNR (b - a) (r - (a + b) / 2),
 so one sorted search for the segment replaces any minimum search, and
-on ascending input each segment is a slice.
+on ``channel.Nodes`` each segment is a slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .channel import Nodes
 from .constellation import Constellation, bit_row
 
 EXACT_BLOCK = 8192  # samples: a class's (4, 8192) float64 exponents are 256 KiB
@@ -62,7 +63,7 @@ def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     kinks, a, b = c.maxlog_segments[bit_row(k)]
     r_arr = np.asarray(r, dtype=float)
     slopes, mids = maxlog_segment_slopes(k, c, p), (a + b) / 2.0
-    if r_arr.ndim == 1 and np.all(r_arr[1:] >= r_arr[:-1]):
+    if type(r) is Nodes:
         # no gathers; r == kink starts the next segment, as with side="right" below
         edges, out = [0, *np.searchsorted(r_arr, kinks).tolist(), r_arr.size], np.empty_like(r_arr)
         for lo, hi, mid, slope in zip(edges, edges[1:], mids, slopes):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from demapsim import analog
+from demapsim import analog, reference
 from demapsim.analog import (
     AnalogDemapper,
     CellSpec,
@@ -17,7 +17,7 @@ from demapsim.analog import (
     synthesize_cells,
 )
 from demapsim.calibration import AffineMap, calibration_grid, fit_output_map, input_map
-from demapsim.channel import draw, from_snr_db
+from demapsim.channel import Nodes, draw, from_snr_db
 from demapsim.metrics import _softplus_
 from demapsim.reference import maxlog_llr, maxlog_segment_slopes
 
@@ -26,6 +26,7 @@ from oracles import (
     full_array_cell_output_v,
     full_array_demap_static,
     full_array_softplus,
+    gather_maxlog_llr,
     logaddexp_cell_output_v,
     logaddexp_demap_static,
 )
@@ -443,7 +444,8 @@ def _edge_points(cell: CellSpec, ulps: int = 4) -> np.ndarray:
 
 
 class TestSortedRegimeKernel:
-    """The sliced softplus kernel gives the full-array formula's bits."""
+    """The sliced softplus kernel gives the full-array formula's bits; each
+    input that can be nodes is also checked as ``Nodes``."""
 
     @pytest.fixture(scope="class", params=["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     def dm(self, request, c, imap):
@@ -457,10 +459,10 @@ class TestSortedRegimeKernel:
                 np.testing.assert_array_equal(cell_output_v(vin, cell), full_array_cell_output_v(vin, cell))
 
     @pytest.mark.parametrize("snr_db", [-2.0, 7.0, 16.0])
-    @pytest.mark.parametrize("order", ["shuffled", "sorted", "descending"])
+    @pytest.mark.parametrize("order", ["shuffled", "sorted", "descending", "nodes"])
     def test_monte_carlo_inputs(self, dm, c, imap, snr_db, order):
         _, r = draw(c, from_snr_db(snr_db), 12345, 0, 0, 8192)
-        r = {"shuffled": r, "sorted": np.sort(r), "descending": np.sort(r)[::-1]}[order]
+        r = {"shuffled": r, "sorted": np.sort(r), "descending": np.sort(r)[::-1], "nodes": np.sort(r).view(Nodes)}[order]
         self.assert_same_bits(imap(r), dm)
 
     def test_points_at_the_regime_edges(self, dm):
@@ -472,19 +474,25 @@ class TestSortedRegimeKernel:
                 np.testing.assert_array_equal(cell_output_v(vin, cell), full_array_cell_output_v(vin, cell))
                 shuffled = np.random.default_rng(1).permutation(vin)
                 np.testing.assert_array_equal(cell_output_v(shuffled, cell), full_array_cell_output_v(shuffled, cell))
+                nodes = np.sort(vin).view(Nodes)
+                np.testing.assert_array_equal(cell_output_v(nodes, cell), full_array_cell_output_v(nodes, cell))
             vin = np.concatenate([_edge_points(cell) for cell in cells])
             np.testing.assert_array_equal(demap_static(vin, dm, k), full_array_demap_static(vin, dm, k))
+            nodes = np.sort(vin).view(Nodes)
+            np.testing.assert_array_equal(demap_static(nodes, dm, k), full_array_demap_static(nodes, dm, k))
 
     def test_far_tails(self, dm, imap):
         r = np.concatenate([np.linspace(-1e3, 1e3, 20001), [-1e3, 1e3]])  # ends repeated: ties
         self.assert_same_bits(imap(r), dm)
         self.assert_same_bits(imap(np.random.default_rng(2).permutation(r)), dm)
+        self.assert_same_bits(imap(np.sort(r).view(Nodes)), dm)
 
     def test_ideal_hinges(self, c, imap, dm):
         ideal = build_demapper(c, imap, dm.mode, knee_eps=0.0)
         _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 4096)
         self.assert_same_bits(imap(r), ideal)
         self.assert_same_bits(imap(np.sort(r)), ideal)
+        self.assert_same_bits(imap(np.sort(r).view(Nodes)), ideal)
 
     def test_scalars(self, dm, imap):
         for r in (-1e3, -7.0, -0.3, 0.0, 2.5, 7.0, 1e3):
@@ -495,50 +503,99 @@ class TestSortedRegimeKernel:
                 for cell in dm.cells_for_bit(k):
                     y = cell_output_v(v, cell)
                     assert isinstance(y, float) and y == full_array_cell_output_v(v, cell)[0]
+            self.assert_same_bits(np.array([v]).view(Nodes), dm)  # as one node
 
 
-class TestOrderCheckedOnce:
-    """``demap_static`` checks its input's order once and vouches for it to its cells."""
+class TestNodesContract:
+    """``channel.Nodes`` run the sliced kernels, the cells' softplus and the max-log
+    slices, and nothing else does: any other input takes the general path, which
+    checks it and gives the same bits."""
 
     @pytest.fixture(scope="class")
     def dm(self, c, imap):
         return build_demapper(c, imap, "analog-mosfet")
 
     @pytest.fixture
-    def checks(self, monkeypatch):
-        calls = []
-        check = analog._ascending_finite
+    def paths(self, monkeypatch):
+        # the kernel each call ran: the cells' two softplus forms, and maxlog_llr's search,
+        # of r for the kinks (slices, side "left") or of the kinks for each r (gather)
+        runs = []
+        for name, path in (("_softplus_monotone_", "sliced"), ("_softplus_", "full")):
+            def counted(x, _kernel=getattr(analog, name), _path=path):
+                runs.append(_path)
+                return _kernel(x)
+            monkeypatch.setattr(analog, name, counted)
 
-        def counted(v):
-            calls.append(v.size)
-            return check(v)
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(analog, "_ascending_finite", counted)
-        return calls
+            def searchsorted(self, a, v, side="left"):
+                runs.append("slices" if side == "left" else "gather")
+                return np.searchsorted(a, v, side=side)
 
-    def test_one_check_per_bit_call(self, dm, c, imap, checks):
+        monkeypatch.setattr(reference, "np", CountingNumpy())
+        return runs
+
+    @pytest.fixture(scope="class")
+    def r_sorted(self, c):
         _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 8192)
-        vin = imap(np.sort(r))
+        return np.sort(r)
+
+    def test_a_rising_map_keeps_nodes(self, imap, r_sorted):
+        nodes = r_sorted.view(Nodes)
+        assert type(imap(nodes)) is Nodes
+        assert imap(nodes).tobytes() == imap(r_sorted).tobytes()
+        for plain in (imap(r_sorted), AffineMap(-imap.scale, imap.offset)(nodes), imap(0.3)):
+            assert type(plain) is not Nodes
+
+    def test_nodes_take_the_sliced_kernels_with_the_full_formulas_bits(self, dm, c, imap, r_sorted, paths):
+        nodes, p = r_sorted.view(Nodes), from_snr_db(7.0)
         for k in (1, 2, 3):
-            checks.clear()
-            out = demap_static(vin, dm, k)
-            assert len(dm.cells_for_bit(k)) > 1 and checks == [8192]
+            paths.clear()
+            out = demap_static(imap(nodes), dm, k)
+            assert paths == ["sliced"] * (2 * len(dm.cells_for_bit(k)))  # two corners per smooth cell
             assert type(out) is np.ndarray
-            np.testing.assert_array_equal(out, full_array_demap_static(vin, dm, k))
+            assert out.tobytes() == full_array_demap_static(imap(r_sorted), dm, k).tobytes()
+            paths.clear()
+            llr = maxlog_llr(nodes, k, c, p)
+            assert paths == ["slices"] and type(llr) is np.ndarray
+            assert llr.tobytes() == gather_maxlog_llr(r_sorted, k, c, p.snr_linear).tobytes()
 
-    def test_unsorted_input_is_checked_per_cell(self, dm, c, imap, checks):
-        _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 8192)
-        out = demap_static(imap(r), dm, 1)
-        assert len(checks) == 1 + len(dm.cells_for_bit(1))
-        assert type(out) is np.ndarray
-        np.testing.assert_array_equal(out, full_array_demap_static(imap(r), dm, 1))
+    @pytest.mark.parametrize("order", ["ascending", "shuffled", "descending"])
+    def test_other_arrays_take_the_general_path_with_the_same_bits(self, dm, c, imap, r_sorted, paths, order):
+        r = {"ascending": r_sorted, "descending": r_sorted[::-1],
+             "shuffled": np.random.default_rng(3).permutation(r_sorted)}[order]
+        p = from_snr_db(7.0)
+        for k in (1, 2, 3):
+            paths.clear()
+            out = demap_static(imap(r), dm, k)
+            assert paths == ["full"] * (2 * len(dm.cells_for_bit(k)))
+            assert out.tobytes() == full_array_demap_static(imap(r), dm, k).tobytes()
+            if order == "ascending":
+                assert out.tobytes() == demap_static(imap(r.view(Nodes)), dm, k).tobytes()
+            paths.clear()
+            llr = maxlog_llr(r, k, c, p)
+            assert paths == ["gather"]
+            assert llr.tobytes() == gather_maxlog_llr(r, k, c, p.snr_linear).tobytes()
 
-    def test_direct_cell_calls_keep_their_check(self, dm, checks):
+    def test_empty_non_finite_and_2d_input_is_still_checked(self, dm, imap, paths):
         cell = dm.cells_for_bit(1)[0]
-        cell_output_v(np.linspace(0.1, 0.5, 11), cell)
-        assert checks == [11]
-        with pytest.raises(ValueError, match="finite"):
-            cell_output_v(np.array([0.1, 0.2, 0.3, np.inf]), cell)
+        assert demap_static(np.array([]), dm, 1).shape == (0,)
+        assert cell_output_v(np.array([]), cell).shape == (0,)
+        assert paths and set(paths) == {"full"}
+        paths.clear()
+        # ascending but for the bad value, so no order scan could have found it
+        for vin in ([0.1, 0.2, 0.3, np.inf], [-np.inf, 0.1], [0.1, np.nan, 0.3], np.float64(np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                demap_static(np.array(vin), dm, 1)
+            with pytest.raises(ValueError, match="finite"):
+                cell_output_v(np.array(vin), cell)
+        grid = np.asarray(imap(np.linspace(-1.0, 1.0, 6))).reshape(2, 3)  # ascending rows
+        for call in (lambda: demap_static(grid, dm, 1), lambda: cell_output_v(grid, cell)):
+            with pytest.raises(ValueError, match=re.escape("1-d array, got shape (2, 3)")):
+                call()
+        assert paths == []
 
 
 class TestSignSplitSoftplus:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from demapsim import cli, harness
+from demapsim import cli, dynamics, harness
 from demapsim.analog import build_demapper, demapper_from_dict, demap_static
 from demapsim.calibration import input_map
-from demapsim.channel import SNR_DB_MAX
+from demapsim.channel import SNR_DB_MAX, Nodes
 from demapsim.cli import main
 from demapsim.dynamics import DynamicsParams
 from demapsim.harness import (
@@ -517,6 +517,25 @@ class TestWorkbench:
         run_experiment("transitions", load_config(), tmp_path / "tr.csv")
         assert len(calls) == 4
 
+    def test_rule_of_an_uncalibrated_analog_mode_names_the_mode_and_the_snr(self):
+        bench = Workbench.from_config(small_config(modes=["exact", "analog-mosfet", "analog-bjt"]))
+        with pytest.raises(ValueError, match=r"^analog-bjt has no calibration at 10\.0 dB: run calibrate\(10\.0\) first"):
+            bench.evaluate(["analog-bjt"], 10.0, 1000, 0)
+        bench.calibrate(10.0)
+        with pytest.raises(ValueError, match=r"^analog-mosfet has no calibration at 3\.0 dB"):
+            bench.rule("analog-mosfet", 3.0)
+        bench.rule("analog-mosfet", 10.0)
+        exact_only = Workbench.from_config(small_config(modes=["exact"]))
+        exact_only.calibrate(10.0)
+        with pytest.raises(ValueError, match=r"^analog-bjt has no calibration at 10\.0 dB"):
+            exact_only.rule("analog-bjt", 10.0)
+
+    def test_rule_of_an_unknown_id_lists_the_modes(self):
+        bench = Workbench.from_config(small_config())
+        for snr_db in (10.0, 3.0):
+            with pytest.raises(ValueError, match=re.escape(f"unknown demapper id 'nmos'; expected one of {harness.MODES}")):
+                bench.rule("nmos", snr_db)
+
     def test_settling_parameters_ignore_the_trace_sample_count(self):
         # the trace sample count draws a trace; it is not part of a mode's settling model
         benches = [
@@ -525,6 +544,37 @@ class TestWorkbench:
         ]
         assert benches[0].dynamics == benches[1].dynamics
         assert set(benches[0].dynamics) == {"analog-bjt", "analog-mosfet"}
+
+
+class TestExperimentsPassNodes:
+    """Every array the experiments hand an LLR rule is ``channel.Nodes``.  A lost
+    mark changes no output bit, it only sends the rules down their slower
+    general path, so only a test like this one can see it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []  # (module, rule, type of the first argument)
+        for module, name in ((harness, "maxlog_llr"), (harness, "demap_static"), (dynamics, "demap_static")):
+            def recorder(x, *args, _rule=getattr(module, name), _at=(module.__name__.split(".")[-1], name)):
+                seen.append((*_at, type(x)))
+                return _rule(x, *args)
+            monkeypatch.setattr(module, name, recorder)
+        return seen
+
+    @pytest.mark.parametrize(
+        "experiment, n_workers, rules",
+        [
+            ("rate-penalty", 1, {("harness", "maxlog_llr"), ("harness", "demap_static")}),
+            ("rate-penalty", 2, {("harness", "maxlog_llr"), ("harness", "demap_static")}),
+            ("ber-vs-rate", 1, {("harness", "demap_static"), ("dynamics", "demap_static")}),
+            ("llr-curves", 1, {("harness", "maxlog_llr"), ("harness", "demap_static")}),
+        ],
+    )
+    def test_every_rule_call_gets_nodes(self, tmp_path, calls, experiment, n_workers, rules):
+        cfg = small_config(n_samples=12_000, n_symbols=3_000, chunk_size=4096, n_workers=n_workers)
+        run_experiment(experiment, cfg, tmp_path / "x.csv")
+        assert {(module, name) for module, name, _ in calls} == rules
+        assert {kind for _, _, kind in calls} == {Nodes}
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

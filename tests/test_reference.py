@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import demapsim
-from demapsim.channel import draw, from_snr_db
+from demapsim.channel import Nodes, draw, from_snr_db
 from demapsim.reference import (
     EXACT_BLOCK,
     exact_llr,
@@ -102,7 +102,8 @@ class TestBlockedExactLlr:
 
 
 class TestMaxlogAscendingSlices:
-    """Ascending input takes slices per segment, with the gather path's bits."""
+    """``Nodes`` take slices per segment, with the gather path's bits; each
+    input that can be nodes is also checked as ``Nodes``."""
 
     @staticmethod
     def assert_gather_bits(r, c, p):
@@ -119,6 +120,7 @@ class TestMaxlogAscendingSlices:
         p = from_snr_db(snr_db)
         _, r = draw(c, p, 12345, 0, 0, 65_536)
         self.assert_gather_bits(np.sort(r), c, p)
+        self.assert_gather_bits(np.sort(r).view(Nodes), c, p)
 
     def test_kinks_neighbours_repeats_and_infinite_ends(self, c, p10):
         kinks = np.concatenate([seg[0] for seg in c.maxlog_segments])
@@ -131,6 +133,7 @@ class TestMaxlogAscendingSlices:
         r = np.sort(np.concatenate([*near, kinks, [0.0, -0.0, -np.inf, np.inf, np.inf]]))
         assert np.all(r[1:] >= r[:-1]) and r[0] == -np.inf
         self.assert_gather_bits(r, c, p10)
+        self.assert_gather_bits(r[np.isfinite(r)].view(Nodes), c, p10)  # nodes are finite
 
     def test_other_orders_and_sizes_keep_the_gather_path(self, c, p10):
         r = np.random.default_rng(4).uniform(-2.0, 2.0, 1001)
@@ -140,6 +143,8 @@ class TestMaxlogAscendingSlices:
         pairs = (np.array([0.4, -0.4]), np.array([-0.4, 0.4]))
         for x in (np.sort(r)[::-1], r, with_nan, *singles, *pairs):
             self.assert_gather_bits(x, c, p10)
+        for x in (np.sort(r), np.array([]), np.array([0.3]), pairs[1]):  # the ascending finite ones
+            self.assert_gather_bits(x.view(Nodes), c, p10)
 
 
 class TestMaxlogLlr:
