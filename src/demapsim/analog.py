@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -269,14 +269,14 @@ def synthesize_cells(
 
 @dataclass(frozen=True)
 class AnalogDemapper:
-    """Full three-output demapper: cells per bit plus the input map."""
+    """Full demapper, one output per bit: cells per bit plus the input map."""
 
     vdd: float
     vin_min: float
     vin_max: float
     input_map: AffineMap
-    cells: tuple[tuple[CellSpec, ...], tuple[CellSpec, ...], tuple[CellSpec, ...]]
-    output_scales: tuple[float, float, float]
+    cells: tuple[tuple[CellSpec, ...], ...]
+    output_scales: tuple[float, ...]
     knee_eps: float
     isat_v: float
     mode: str = "custom"
@@ -284,6 +284,9 @@ class AnalogDemapper:
     def __post_init__(self):
         if self.vin_max <= self.vin_min:
             raise ValueError("vin_max must exceed vin_min")
+        if not 0 < len(self.cells) == len(self.output_scales):
+            raise ValueError(f"output_scales: {len(self.output_scales)} entries for {len(self.cells)} cell tables, "
+                             "need one per bit and at least one bit")
         for k, cell_list in enumerate(self.cells, start=1):
             if len(cell_list) == 0:
                 raise ValueError(f"bit position {k} has no cells")
@@ -292,7 +295,7 @@ class AnalogDemapper:
                     raise ValueError(f"cell vref {cell.vref} outside input range")
 
     def cells_for_bit(self, k: int) -> tuple[CellSpec, ...]:
-        return self.cells[bit_row(k)]
+        return self.cells[bit_row(k, len(self.cells))]
 
 
 def demap_static(vin, d: AnalogDemapper, k: int):
@@ -314,7 +317,7 @@ def build_demapper(
     r_span: float = R_SPAN_DEFAULT,
     vdd: float = VDD_DEFAULT,
 ) -> AnalogDemapper:
-    """Synthesize a demapper from the max-log targets of all three bits.
+    """Synthesize a demapper from the max-log targets of every bit of ``c``.
 
     ``mode`` is a ``PRESETS`` key; ``knee_eps`` and ``isat_v`` override
     its values.  The max-log shape is SNR-independent up to an overall
@@ -339,7 +342,7 @@ def build_demapper(
     vin_max = float(input_map(r_span))
     all_cells = []
     scales = []
-    for k in (1, 2, 3):
+    for k in c.bit_positions:
         # the max-log LLR of bit k over the input voltage
         breakpoints = input_map(c.maxlog_segments[k - 1][0])
         slopes = maxlog_segment_slopes(k, c, p_ref) / input_map.scale
@@ -360,23 +363,41 @@ def build_demapper(
 
 
 def demapper_to_dict(d: AnalogDemapper) -> dict:
-    return {**asdict(d), "cells": {f"b{k}": [asdict(cell) for cell in d.cells_for_bit(k)] for k in (1, 2, 3)}}
+    return {**asdict(d), "cells": {f"b{k}": [asdict(cell) for cell in cells] for k, cells in enumerate(d.cells, 1)}}
+
+
+def _fields(record, cls, where: str) -> dict:
+    """``record`` if it is a dict keyed by exactly the field names of ``cls`` (or the strings ``cls``),
+    else a ValueError naming the first missing or unknown field."""
+    names = [f.name for f in fields(cls)] if isinstance(cls, type) else cls
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: must be a mapping, got {record!r}")
+    if missing := [name for name in names if name not in record]:
+        raise ValueError(f"{where}: missing field {missing[0]!r}")
+    if unknown := [key for key in record if key not in names]:
+        raise ValueError(f"{where}: unknown field {unknown[0]!r}")
+    return record
 
 
 def demapper_from_dict(data: dict) -> AnalogDemapper:
+    """The demapper of a ``demapper_to_dict`` record.  ValueError naming the field for a missing or
+    unknown field, or cell tables not keyed b1..bn for the n ``output_scales``."""
+    _fields(data, AnalogDemapper, "demapper")
     mode = str(data["mode"])
     if mode not in PRESETS and mode != "custom":
         raise ValueError(f"unknown mode {mode!r}; expected one of {[*PRESETS, 'custom']}")
-    cells = tuple(
-        tuple(CellSpec(**cell) for cell in data["cells"][f"b{k}"]) for k in (1, 2, 3)
-    )
+    scales = tuple(float(x) for x in data["output_scales"])
+    names = [f"b{k}" for k in range(1, len(scales) + 1)]  # one cell table per output scale
+    tables = _fields(data["cells"], names, f"cells (for {len(scales)} output_scales)")
+    cells = tuple(tuple(CellSpec(**_fields(c, CellSpec, f"cells.{b}[{i}]")) for i, c in enumerate(tables[b])) for b in names)
+    imap = _fields(data["input_map"], AffineMap, "input_map")
     return AnalogDemapper(
         vdd=float(data["vdd"]),
         vin_min=float(data["vin_min"]),
         vin_max=float(data["vin_max"]),
-        input_map=AffineMap(scale=float(data["input_map"]["scale"]), offset=float(data["input_map"]["offset"])),
+        input_map=AffineMap(scale=float(imap["scale"]), offset=float(imap["offset"])),
         cells=cells,
-        output_scales=tuple(float(x) for x in data["output_scales"]),
+        output_scales=scales,
         knee_eps=float(data["knee_eps"]),
         isat_v=float(data["isat_v"]),
         mode=mode,

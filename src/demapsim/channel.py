@@ -85,7 +85,7 @@ def chunk_sizes(n_total: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]
 def draw(c: Constellation, p: ChannelParams, seed: int, stream: int, chunk_index: int, n: int):
     """Uniform symbols of one chunk and their noisy observations.
 
-    Returns the label bits of the drawn points as uint8, shape (n, 3),
+    Returns the label bits of the drawn points as uint8, shape (n, bits),
     column-major so that each bit position is contiguous, and the
     observations.  Both come from the chunk's private stream.
     """

@@ -1,13 +1,10 @@
-"""Unit-energy 8-PAM constellation with binary-reflected Gray labeling."""
+"""Unit-energy PAM constellations with binary-reflected Gray labeling; the label width is the bit count."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-BITS_PER_SYMBOL = 3
-NUM_POINTS = 1 << BITS_PER_SYMBOL
 
 
 def gray_code(n_bits: int) -> np.ndarray:
@@ -16,21 +13,23 @@ def gray_code(n_bits: int) -> np.ndarray:
     return i ^ (i >> 1)
 
 
-def bit_row(k: int) -> int:
-    """Row ``k - 1`` of the per-bit tables; ValueError unless k is an int 1, 2 or 3, not a bool."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3):
-        raise ValueError(f"bit position k must be 1, 2 or 3, got {k!r}")
+def bit_row(k: int, bits: int) -> int:
+    """Row ``k - 1`` of per-bit tables of ``bits`` rows; ValueError unless k is an int 1..bits, not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= bits:
+        *head, last = range(1, bits + 1)
+        raise ValueError(f"bit position k must be {', '.join(map(str, head))}{' or ' if head else ''}{last}, got {k!r}")
     return int(k) - 1
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Equally spaced 8-PAM amplitudes with their 3-bit Gray labels.
+    """Equally spaced PAM amplitudes with their Gray labels, one bit per label column.
 
     ``points`` are strictly increasing, ``labels[i]`` holds the bits
-    (b1, b2, b3) of ``points[i]`` read MSB-first, and the scale ``d``
+    (b1, b2, ...) of ``points[i]`` read MSB-first, and the scale ``d``
     normalizes the mean squared amplitude to 0.5 (unit energy for the
-    QAM constellation built from two of these).
+    QAM constellation built from two of these).  ``bit_positions`` are
+    the k = 1, 2, ... that every per-bit function takes.
 
     The per-bit tables the reference demappers read are built once
     here: ``class_points[k - 1]`` holds the (class-0, class-1) point
@@ -49,11 +48,13 @@ class Constellation:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
         self.points.setflags(write=False)
         self.labels.setflags(write=False)
-        classes = tuple(
-            _read_only(*(self.points[self.labels[:, k] == b] for b in (0, 1))) for k in range(BITS_PER_SYMBOL)
-        )
+        classes = tuple(_read_only(*(self.points[bit == b] for b in (0, 1))) for bit in self.labels.T)
         object.__setattr__(self, "class_points", classes)
         object.__setattr__(self, "maxlog_segments", tuple(_class_segments(p0, p1) for p0, p1 in classes))
+
+    @property
+    def bit_positions(self) -> range:
+        return range(1, self.labels.shape[1] + 1)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -87,11 +88,7 @@ def build_pam8() -> Constellation:
     mean squared amplitude is 21 d^2 = 0.5.  Point i carries the Gray
     label gray(i), lowest amplitude getting label 000.
     """
-    d = float(np.sqrt(1.0 / 42.0))
-    levels = np.arange(-(NUM_POINTS - 1), NUM_POINTS, 2, dtype=float)
-    gray = gray_code(BITS_PER_SYMBOL)
-    labels = [
-        [(g >> (BITS_PER_SYMBOL - 1 - j)) & 1 for j in range(BITS_PER_SYMBOL)]
-        for g in gray
-    ]
+    bits, d = 3, float(np.sqrt(1.0 / 42.0))
+    levels = np.arange(1 - (1 << bits), 1 << bits, 2, dtype=float)
+    labels = [[(g >> (bits - 1 - j)) & 1 for j in range(bits)] for g in gray_code(bits)]
     return Constellation(points=levels * d, d=d, labels=np.array(labels))

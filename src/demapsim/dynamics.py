@@ -250,10 +250,11 @@ def ber_vs_rate(
     params = channel.from_snr_db(snr_db)
     exits = []  # once per sweep: per demapper with a plateau, an exit table per bit on shared bin edges
     for d, _, dp in sweeps.values():
-        cells = [cell for k in (1, 2, 3) for cell in d.cells_for_bit(k)]
-        exits.append({k: _exit_table(d.cells_for_bit(k), cells) for k in (1, 2, 3)} if dp.t_plateau else None)
+        cells = [cell for bit_cells in d.cells for cell in bit_cells]
+        exits.append({k: _exit_table(bit_cells, cells) for k, bit_cells in enumerate(d.cells, 1)} if dp.t_plateau else None)
 
     rows = {mode_id: [] for mode_id in sweeps}
+    n_bits = len(c.bit_positions) * n_symbols
     for rate_index, rate in enumerate(rates):
         def job(chunk_index, n):
             bits, r = channel.draw(c, params, seed, stream + rate_index, chunk_index, n)
@@ -262,7 +263,7 @@ def ber_vs_rate(
 
         errors = sum(channel.map_chunks(job, n_symbols, SETTLED_CHUNK_SYMBOLS, n_workers))
         for mode_rows, e in zip(rows.values(), errors):
-            mode_rows.append({"rate_sps": rate, "errors": e, "bits": 3 * n_symbols, "ber": e / (3 * n_symbols)})
+            mode_rows.append({"rate_sps": rate, "errors": e, "bits": n_bits, "ber": e / n_bits})
     return rows
 
 
@@ -279,10 +280,10 @@ def _chunk_errors(bits, r, order, rate: float, d: AnalogDemapper, output_maps: d
     flags = np.zeros(vin_sorted.size, dtype=bool)  # kept without a plateau: no flag can matter
     steps = _exit_steps(vin_sorted, order, exits[1][0]) if exits else None
     errors = 0
-    for k in (1, 2, 3):
+    for k, output_map in output_maps.items():
         targets[order] = demap_static(vin_sorted, d, k)
         if exits:
             flags = np.concatenate(([False], exits[k][1].take(steps)))
-        llr = output_maps[k](sampled_outputs(targets, flags, rate, dp))
+        llr = output_map(sampled_outputs(targets, flags, rate, dp))
         errors += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
     return errors

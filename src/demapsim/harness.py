@@ -7,11 +7,13 @@ adjacent ``.meta.json`` file holding the full resolved configuration,
 the synthesized demapper descriptions and every calibration constant,
 so any row can be re-derived from the metadata alone.  Identical
 configuration and seed give byte-identical tables regardless of the
-worker count.  Runners return the table as segments (see
-``write_csv``): one row dict per row for the short tables, one segment
-of array columns per curve or trace; ``run_experiment`` adds the
-``seed`` column to each.  ``Workbench.evaluate`` runs the Monte Carlo
-evaluations with the run's seed, worker count and chunk size.
+worker count, on one numpy build and CPU dispatch level; across
+dispatch levels, floats move by a few ulps.  Runners return the table
+as segments (see ``write_csv``): one row dict per row for the short
+tables, one segment of array columns per curve or trace;
+``run_experiment`` adds the ``seed`` column to each.
+``Workbench.evaluate`` runs the Monte Carlo evaluations with the run's
+seed, worker count and chunk size.
 """
 
 from __future__ import annotations
@@ -302,9 +304,9 @@ class Workbench:
             grid = calibration_grid(self.c, params.sigma).view(Nodes)  # built ascending
             # the input voltages (nodes too: a rising map of nodes) and reference LLRs are shared by every mode
             vin = self.imap(grid)
-            refs = {k: exact_llr(grid, k, self.c, params) for k in (1, 2, 3)}
+            refs = {k: exact_llr(grid, k, self.c, params) for k in self.c.bit_positions}
             maps = {
-                mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), refs[k], grid) for k in (1, 2, 3)}
+                mode_id: {k: fit_output_map(k, demap_static(vin, demapper, k), ref, grid) for k, ref in refs.items()}
                 for mode_id, demapper in self.demappers.items()
             }
         self.calibrations[snr_db] = maps
@@ -435,7 +437,7 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
     vin = np.linspace(vmin, vmax, cfg["llr_grid_points"])
     r = bench.imap.inverse(vin).view(Nodes)  # a rising map of an ascending grid; so is each d.input_map(r)
     # an analog mode's uncalibrated curve does not depend on the SNR
-    curves = {m: {k: demap_static(d.input_map(r), d, k) for k in (1, 2, 3)} for m, d in bench.demappers.items()}
+    curves = {m: {k: demap_static(d.input_map(r), d, k) for k in bench.c.bit_positions} for m, d in bench.demappers.items()}
     segments = []
     for snr_db in (float(s) for s in cfg["llr_snr_db"]):
         output_maps = bench.calibrate(snr_db)
@@ -452,7 +454,7 @@ def run_llr_curves(bench: Workbench) -> tuple[list[dict], dict]:
                     "gamma": maps[k].scale if maps else None,
                     "zeta": maps[k].offset if maps else None,
                 }
-                for k in (1, 2, 3)
+                for k in bench.c.bit_positions
             ]
     return segments, bench.meta()
 
@@ -472,18 +474,15 @@ def run_rate_penalty(bench: Workbench) -> tuple[list[dict], dict]:
             row = {
                 "snr_db": snr_db,
                 "demapper_id": mode_id,
-                "mi_b1": ev.per_bit_mi[0],
-                "mi_b2": ev.per_bit_mi[1],
-                "mi_b3": ev.per_bit_mi[2],
+                **{f"mi_b{k}": mi for k, mi in enumerate(ev.per_bit_mi, 1)},
                 "gmi": ev.gmi,
                 "penalty_pct": rate_penalty(ev.gmi, gmi_exact) if gmi_exact > 0 else None,
                 "ber": ev.ber,
                 "n_samples": ev.n_samples,
                 "std_err": ev.std_error,
             }
-            for k in (1, 2, 3):
-                row[f"gamma_{k}"] = maps[k].scale if maps else None
-                row[f"zeta_{k}"] = maps[k].offset if maps else None
+            for k, m in (maps or {}).items():  # a digital mode leaves them empty
+                row[f"gamma_{k}"], row[f"zeta_{k}"] = m.scale, m.offset
             rows.append(row)
     return rows, bench.meta()
 
@@ -519,15 +518,13 @@ def run_transitions(bench: Workbench) -> tuple[list[dict], dict]:
     for mode_id, demapper in bench.demappers.items():
         dp = bench.dynamics[mode_id]
         for name, (r_a, r_b) in transitions.items():
-            traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp, steps) for k in (1, 2, 3)]
+            traces = [simulate_transient([r_a, r_b, r_b], rate, demapper, k, dp, steps) for k in bench.c.bit_positions]
             segments.append(
                 {
                     "demapper_id": mode_id,
                     "transition": name,
                     "time_s": traces[0].time,
-                    "vout_v_b1": traces[0].vout,
-                    "vout_v_b2": traces[1].vout,
-                    "vout_v_b3": traces[2].vout,
+                    **{f"vout_v_b{k}": trace.vout for k, trace in enumerate(traces, 1)},
                 }
             )
     return segments, bench.meta()

@@ -80,11 +80,11 @@ class DemapperEvaluation:
     per-bit estimate may dip slightly below zero for mismatched LLR
     rules at very low SNR; that is a property of the metric, not an
     estimation artifact.  ``errors`` counts the hard-decision errors
-    among the ``bits`` = 3 ``n_samples`` bit decisions.
+    among the ``bits`` = ``len(per_bit_mi)`` ``n_samples`` bit decisions.
     """
 
-    per_bit_mi: tuple[float, float, float]
-    per_bit_se: tuple[float, float, float]
+    per_bit_mi: tuple[float, ...]
+    per_bit_se: tuple[float, ...]
     std_error: float
     n_samples: int
     errors: int
@@ -102,11 +102,11 @@ class DemapperEvaluation:
 
     @property
     def gmi(self) -> float:
-        return sum(self.per_bit_mi) / 3.0
+        return sum(self.per_bit_mi) / len(self.per_bit_mi)
 
     @property
     def bits(self) -> int:
-        return 3 * self.n_samples
+        return len(self.per_bit_mi) * self.n_samples
 
     @property
     def ber(self) -> float:
@@ -119,35 +119,33 @@ class DemapperEvaluation:
 
 
 def _eval_chunk(llr_fns, bits, r, ref_id):
-    """Each rule's sums over one chunk, one float64 row per rule in ``llr_fns`` order, which the
-    caller adds in chunk order: [0:5] the sums and [5:10] the sums of squares of, in order, the
-    three bit summands, their per-symbol mean, and the paired difference ref - this of that mean
-    (0 for the reference); [10] the bit errors.
+    """Each rule's sums over one chunk, one float64 table per rule in ``llr_fns`` order, which the
+    caller adds in chunk order.  A table has ``bits.shape[1]`` + 3 rows: each bit's summand, their
+    per-symbol mean, the paired difference ref - this of that mean (0 for the reference), and the
+    bit errors; column 0 holds the sums and column 1 the sums of squares (0 for the errors).
     """
-    sums = np.zeros((len(llr_fns), 11))
+    n_bits = bits.shape[1]
+    sums = np.zeros((len(llr_fns), n_bits + 3, 2))
     for i, name in sorted(enumerate(llr_fns), key=lambda row: row[1] != ref_id):  # the reference first, for pairing
         fn, t = llr_fns[name], sums[i]
         # every chunk-length array is deleted at its last read, so none outlives it into the next LLR call
-        for k in (1, 2, 3):
+        for k, bit in enumerate(bits.T, 1):
             llr = fn(r, k)
-            t[10] += np.count_nonzero((llr >= 0.0) != bits[:, k - 1])
-            s = mi_summands(bits[:, k - 1], llr)
+            t[-1, 0] += np.count_nonzero((llr >= 0.0) != bit)
+            s = mi_summands(bit, llr)
             del llr
-            t[k - 1] = s.sum()
-            t[k + 4] = (s * s).sum()
+            t[k - 1] = s.sum(), (s * s).sum()
             sym = s if k == 1 else np.add(sym, s, out=sym)  # per-symbol sum, then mean; 0 + s == s, so no zero fill
             del s
-        if not np.isfinite(t[:3]).all():
+        if not np.isfinite(t[:n_bits, 0]).all():
             raise ValueError(f"demapper {name!r}: its LLRs give non-finite information (a NaN, or an inf of the wrong sign)")
-        sym /= 3.0
-        t[3] = sym.sum()
-        t[8] = (sym * sym).sum()
+        sym /= n_bits
+        t[-3] = sym.sum(), (sym * sym).sum()
         if name == ref_id:
             ref_sym = sym
         elif ref_id is not None:  # the reference ran first
             np.subtract(ref_sym, sym, out=sym)  # ref - this: negative when this demapper loses rate
-            t[4] = sym.sum()
-            t[9] = (sym * sym).sum()
+            t[-2] = sym.sum(), (sym * sym).sum()
         del sym
     return sums
 
@@ -177,7 +175,7 @@ def evaluate_demappers(
     ``ref_id`` selects the rule against which paired GMI differences are
     tracked.  ``channel.chunk_sizes`` checks ``n_symbols`` and ``chunk_size``
     before any draw.  Each chunk job sorts its draw, passes it to every rule
-    as ``channel.Nodes`` and returns one row of sums per rule (layout in
+    as ``channel.Nodes`` and returns one table of sums per rule (layout in
     ``_eval_chunk``); ``sum`` adds them in chunk order, and every mean and
     standard error comes from them through ``_mean_se``.
     """
@@ -197,15 +195,15 @@ def evaluate_demappers(
     totals = sum(channel.map_chunks(job, n_symbols, chunk_size, n_workers))  # in chunk order
     out = {}
     for name, t in zip(llr_fns, totals):
-        mean, se = _mean_se(t[:5], t[5:10], n_symbols)
+        mean, se = _mean_se(t[:-1, 0], t[:-1, 1], n_symbols)
         paired = ref_id is not None and name != ref_id  # gmi(this) - gmi(ref) = E[ref summand] - E[this summand]
         out[name] = DemapperEvaluation(
-            per_bit_mi=tuple(float(1.0 - x) for x in mean[:3]),
-            per_bit_se=tuple(float(x) for x in se[:3]),
-            std_error=float(se[3]),
+            per_bit_mi=tuple(float(1.0 - x) for x in mean[:-2]),
+            per_bit_se=tuple(float(x) for x in se[:-2]),
+            std_error=float(se[-2]),
             n_samples=n_symbols,
-            errors=int(t[10]),
-            gmi_minus_ref=float(mean[4]) if paired else None,
-            gmi_minus_ref_se=float(se[4]) if paired else None,
+            errors=int(t[-1, 0]),
+            gmi_minus_ref=float(mean[-1]) if paired else None,
+            gmi_minus_ref_se=float(se[-1]) if paired else None,
         )
     return out

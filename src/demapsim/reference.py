@@ -47,7 +47,7 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     log sum_{i in I_k^1} exp(-(r - x_i)^2 / 2 sigma^2)
       - log sum_{i in I_k^0} exp(-(r - x_i)^2 / 2 sigma^2)
     """
-    p0, p1 = c.class_points[bit_row(k)]
+    p0, p1 = c.class_points[bit_row(k, len(c.class_points))]
     r_arr = np.asarray(r, dtype=float)
     inv = 1.0 / (2.0 * p.sigma * p.sigma)
     flat = r_arr.reshape(-1)
@@ -60,7 +60,7 @@ def exact_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
 
 def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
     """Max-log LLR: SNR * (min_{I_k^0} (r - x)^2 - min_{I_k^1} (r - x)^2)."""
-    kinks, a, b = c.maxlog_segments[bit_row(k)]
+    kinks, a, b = c.maxlog_segments[bit_row(k, len(c.maxlog_segments))]
     r_arr = np.asarray(r, dtype=float)
     slopes, mids = maxlog_segment_slopes(k, c, p), (a + b) / 2.0
     if type(r) is Nodes:
@@ -77,5 +77,5 @@ def maxlog_llr(r, k: int, c: Constellation, p) -> np.ndarray | float:
 
 def maxlog_segment_slopes(k: int, c: Constellation, p) -> np.ndarray:
     """Slope 2 SNR (b - a) of the max-log LLR on each segment between its kinks."""
-    _, a, b = c.maxlog_segments[bit_row(k)]
+    _, a, b = c.maxlog_segments[bit_row(k, len(c.maxlog_segments))]
     return 2.0 * p.snr_linear * (b - a)

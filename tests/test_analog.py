@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -675,6 +676,45 @@ class TestDemapperLifecycle:
             demapper_from_dict(json.loads(path.read_text()))
         data["mode"] = "custom"
         assert demapper_from_dict(data).mode == "custom"
+
+    @pytest.mark.parametrize("path", [("vdd",), ("mode",), ("input_map", "scale"), ("cells", "b3")])
+    def test_missing_field_named_on_load(self, c, imap, path):
+        data = demapper_to_dict(build_demapper(c, imap, "analog-bjt"))
+        *parents, key = path
+        record = data
+        for name in parents:
+            record = record[name]
+        del record[key]
+        with pytest.raises(ValueError, match=rf"missing field '{key}'$"):
+            demapper_from_dict(data)
+
+    @pytest.mark.parametrize("extra", ["b4", "B3"])
+    def test_cell_tables_must_be_b1_to_bn(self, c, imap, extra):
+        data = demapper_to_dict(build_demapper(c, imap, "analog-bjt"))
+        data["cells"][extra] = data["cells"]["b3"]
+        with pytest.raises(ValueError, match=rf"^cells \(for 3 output_scales\): unknown field '{extra}'$"):
+            demapper_from_dict(data)
+        del data["cells"]["b3"]
+        with pytest.raises(ValueError, match=r"^cells \(for 3 output_scales\): missing field 'b3'$"):
+            demapper_from_dict(data)
+
+    def test_cell_fields_must_be_cellspec_fields(self, c, imap):
+        data = demapper_to_dict(build_demapper(c, imap, "analog-bjt"))
+        data["cells"]["b2"][1]["bias_a"] = 1e-4
+        with pytest.raises(ValueError, match=r"^cells\.b2\[1\]: unknown field 'bias_a'$"):
+            demapper_from_dict(data)
+        del data["cells"]["b2"][1]["bias_a"], data["cells"]["b2"][1]["gain"]
+        with pytest.raises(ValueError, match=r"^cells\.b2\[1\]: missing field 'gain'$"):
+            demapper_from_dict(data)
+
+    def test_output_scales_one_per_cell_table(self, c, imap):
+        dm = build_demapper(c, imap, "analog-bjt")
+        for scales in (dm.output_scales[:2], (*dm.output_scales, 1.0)):
+            data = {**demapper_to_dict(dm), "output_scales": list(scales)}
+            with pytest.raises(ValueError, match=rf"^cells \(for {len(scales)} output_scales\): "):
+                demapper_from_dict(data)
+            with pytest.raises(ValueError, match=rf"^output_scales: {len(scales)} entries for 3 cell tables"):
+                replace(dm, output_scales=scales)
 
     def test_unknown_mode_rejected(self, c, imap):
         for mode in ("nmos", "bjt", "mosfet"):

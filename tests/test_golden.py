@@ -18,7 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,37 @@ def test_digest_check_names_every_difference():
         "only in this run: golden/new.csv",
     ]
     assert differences(old, dict(old)) == []
+
+
+# numpy's AVX-512 dispatch groups: with them off, an AVX-512 host runs the kernels of an AVX2-only one
+_AVX512_GROUPS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+_REDUCED_DISPATCH_RUN = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[group] for group in sys.argv[1].split()), "dispatch groups still active"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2], "-k", "test_outputs_match_golden and not reduced"]))
+"""
+
+
+def _active_dispatch_groups() -> set[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x keeps them elsewhere; such a build is not probed
+        return set()
+    return {group for group in __cpu_dispatch__ if __cpu_features__.get(group)}
+
+
+@pytest.mark.skipif(not set(_AVX512_GROUPS) <= _active_dispatch_groups(), reason="numpy dispatches no AVX-512 here")
+def test_outputs_match_golden_under_reduced_dispatch():
+    # outputs are byte-identical only on one dispatch level; across levels the comparator's bound must hold
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512_GROUPS)}
+    run = subprocess.run(
+        [sys.executable, "-c", _REDUCED_DISPATCH_RUN, " ".join(_AVX512_GROUPS), __file__],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{len(EXPERIMENTS)} passed" in run.stdout
 
 
 if __name__ == "__main__":
