@@ -19,13 +19,16 @@ guarding the top of the range, which is what the settling model in
 ``dynamics`` relies on.
 
 On ``channel.Nodes`` the cells skip their float64-trivial softplus
-regimes bit for bit (see ``cell_output_v``).  Nothing here sorts or
-checks the order: the callers that sort or build their input mark it.
+regimes bit for bit and fill a cell's off side with its one float64
+value (see ``cell_output_v``).  Nothing here sorts or checks the order:
+the callers that sort or build their input mark it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 import operator
 from dataclasses import dataclass, asdict, fields
 
@@ -89,10 +92,43 @@ class CellSpec:
             raise ValueError(f"orientation must be 'ramp_below' or 'ramp_above', got {self.orientation!r}")
 
 
-def _hinge_drive(vin: np.ndarray, cell: CellSpec) -> np.ndarray:
+def _hinge_drive(vin: np.ndarray, cell: CellSpec, out=None) -> np.ndarray:
     if cell.orientation == "ramp_below":
-        return cell.vref - vin
-    return vin - cell.vref
+        return np.subtract(cell.vref, vin, out=out)
+    return np.subtract(vin, cell.vref, out=out)
+
+
+@functools.cache
+def _off_side(cell: CellSpec) -> tuple[float, float] | None:
+    """``(edge, y)`` if float64 rounds the cell's whole off side to one output y, else None.
+
+    Off means a turn-on argument x = u / knee_eps <= -37, where that corner
+    gives eps_v * exp(x) <= eps_v * 8.6e-17, with eps_v = gain * knee_eps.
+    If isat_v / eps_v >= 37, this is under isat_v * 2.3e-18, a twelfth of
+    a quarter ulp of isat_v (so exp(-37) * eps_v < ulp(isat_v) / 8 follows),
+    and isat_v minus it rounds to isat_v; the saturation corner's argument
+    isat_v / eps_v >= 37 then passes its softplus as it is.  Every off input
+    so gets y = isat_v - isat_v / eps_v * eps_v, negated for ``neg``.  The
+    off side is vin <= edge (``ramp_above``) or vin >= edge, with ``edge``
+    found by the kernel's own subtract and divide.  Cached per cell.
+    """
+    eps = cell.knee_eps
+    eps_v = cell.gain * eps
+    if not (math.isfinite(cell.vref) and math.isfinite(cell.isat_v) and eps_v > 0.0
+            and cell.isat_v / eps_v >= _SOFTPLUS_EDGE):
+        return None
+    off = -math.inf if cell.orientation == "ramp_above" else math.inf  # from the ramp toward the off side
+
+    def is_off(v):
+        return _hinge_drive(v, cell) / eps <= -_SOFTPLUS_EDGE
+
+    edge = cell.vref + math.copysign(_SOFTPLUS_EDGE * eps, off)
+    while not is_off(edge):
+        edge = math.nextafter(edge, off)
+    while is_off(math.nextafter(edge, -off)):
+        edge = math.nextafter(edge, -off)
+    y = cell.isat_v - cell.isat_v / eps_v * eps_v
+    return edge, -y if cell.polarity == "neg" else y
 
 
 def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
@@ -102,11 +138,14 @@ def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
     j = bisect.bisect_left(x, _SOFTPLUS_EDGE, key=key)
     m = bisect.bisect_left(x, 0.0, i, j, key=key)  # the band's sign change; every search ends before any write
     low, neg, pos = (x[j:], x[m:j], x[i:m]) if key else (x[:i], x[i:m], x[m:j])  # a 0 gives ln 2 in neg or pos
-    np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
-    np.exp(low, out=low)
-    np.log1p(np.exp(neg, out=neg), out=neg)
-    tail = np.negative(pos)
-    pos += np.log1p(np.exp(tail, out=tail), out=tail)
+    if low.size:  # each slice may be empty, and a ufunc costs a call even then
+        np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
+        np.exp(low, out=low)
+    if neg.size:
+        np.log1p(np.exp(neg, out=neg), out=neg)
+    if pos.size:
+        tail = np.negative(pos)
+        pos += np.log1p(np.exp(tail, out=tail), out=tail)
     return x
 
 
@@ -139,8 +178,15 @@ def cell_output_v(vin, cell: CellSpec):
     - the band between splits at 0 into x + log1p(exp(-x)) and
       log1p(exp(x)), the formula with its clamp idle and 0 + t = t.
 
+    Where the turn-on argument is at most -37, the off side, the whole
+    formula rounds to one value for a cell with either preset's knee and
+    ceiling (``_off_side``): one search of its edge cuts the input, the
+    off slice takes that constant, and every pass runs in place on the
+    live slice only.  Input that misses the edge, one compare away, is
+    all live, as almost always with the MOSFET's edges 0.925 V past vref.
+
     Every value thus gets exactly the bits of the full formula, and
-    ``tests/test_analog.py`` pins both identities.  They also hold a
+    ``tests/test_analog.py`` pins the identities.  They also hold a
     little inside the edges (from about 33.3 up and from about -36.4
     down), so an argument an ulp out of order (exp and log1p rounding) could
     change slice at an edge but not its value, and at 0 by at most an ulp.
@@ -148,31 +194,42 @@ def cell_output_v(vin, cell: CellSpec):
     and takes the full formula (``metrics._softplus_``), with the same bits.
     """
     v = np.atleast_1d(np.asarray(vin, dtype=float))  # a plain ndarray, also for a Nodes view
-    if type(vin) is not Nodes:
+    nodes = type(vin) is Nodes
+    if not nodes:
         if v.ndim > 1:
             raise ValueError(f"input voltage must be a scalar or a 1-d array, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("input voltage must be finite")
-    softplus = _softplus_monotone_ if type(vin) is Nodes else _softplus_
-    u = _hinge_drive(v, cell)
+    y = np.empty_like(v)
+    on = slice(None)  # the live part of v and y; the rest of y is the off side's constant
+    if nodes and v.size and (off := _off_side(cell)):
+        edge, y_off = off
+        if cell.orientation == "ramp_above" and v[0] <= edge:
+            on = slice(v.searchsorted(edge, "right"), None)
+            y[:on.start] = y_off
+        elif cell.orientation == "ramp_below" and v[-1] >= edge:
+            on = slice(v.searchsorted(edge))
+            y[on.stop:] = y_off
+    softplus = _softplus_monotone_ if nodes else _softplus_
+    live = _hinge_drive(v[on], cell, out=y[on])
     if cell.knee_eps == 0.0:
-        y = np.minimum(cell.gain * np.maximum(u, 0.0), cell.isat_v)
+        np.minimum(cell.gain * np.maximum(live, 0.0), cell.isat_v, out=live)
     else:
         eps = cell.knee_eps
         eps_v = cell.gain * eps
-        u /= eps
-        y = softplus(u)
-        y *= eps_v
+        live /= eps
+        softplus(live)
+        live *= eps_v
         if eps_v > 0.0:
-            np.subtract(cell.isat_v, y, out=y)
-            y /= eps_v
-            softplus(y)
-            y *= eps_v
-            np.subtract(cell.isat_v, y, out=y)
+            np.subtract(cell.isat_v, live, out=live)
+            live /= eps_v
+            softplus(live)
+            live *= eps_v
+            np.subtract(cell.isat_v, live, out=live)
         else:
-            np.minimum(y, cell.isat_v, out=y)
+            np.minimum(live, cell.isat_v, out=live)
     if cell.polarity == "neg":
-        np.negative(y, out=y)
+        np.negative(live, out=live)
     return float(y[0]) if np.ndim(vin) == 0 else y
 
 

@@ -150,7 +150,8 @@ def _settle(targets, flags, symbol_rate: float, dp: DynamicsParams, times: np.nd
     that applies otherwise, with the symbol end as a last column.  The
     boundary voltages follow v_b[i] = a[i]*v_b[i-1] + (1 - a[i])*tgt[i],
     with a = 1 for a symbol held to its end, computed by a log-depth
-    prefix scan; each sample then follows from v_b[i-1] in one step.
+    prefix scan that stops once no step can change a bit (the bits are
+    kept); each sample then follows from v_b[i-1] in one step.
     Only a table of three rows or more needs each symbol's last exit:
     with two, its own flag picks its row, and with one, a[i] is one value.
     """
@@ -185,7 +186,7 @@ def _settle(targets, flags, symbol_rate: float, dp: DynamicsParams, times: np.nd
     # v_b[i] = a[i]*v_b[i-1] + b[i]; a[0] = 0 starts the trace settled
     b = (1.0 - a) * tgt
     b[0] = tgt[0]
-    (_affine_scan_ if np.ndim(a) else _geometric_scan_)(a, b)
+    (_affine_scan_ if np.ndim(a) else _geometric_scan_)(a, b, np.abs(tgt).max())
 
     out = np.empty((n, relax.shape[1] - 1))
     out[0] = tgt[0]
@@ -194,29 +195,51 @@ def _settle(targets, flags, symbol_rate: float, dp: DynamicsParams, times: np.nd
     return out
 
 
-def _affine_scan_(a: np.ndarray, b: np.ndarray) -> None:
-    """In place: b[i] becomes x[i] of x[i] = a[i]*x[i-1] + b[i] with x[-1] = 0.
+_NO_BIT = 2.0**-56  # an increment under |b| * 2**-56 is under an eighth of the float gap at b
+
+
+def _bits_settled(a_max: float, b: np.ndarray, bound: float) -> bool:
+    """Whether no doubling step, now or later, can change a bit of ``b`` (see ``_affine_scan_``).
+    As min|b| <= bound, the test needs a_max < 2**-56; checking that first skips the min till then."""
+    return a_max == 0.0 or a_max < _NO_BIT and a_max * bound < np.abs(b).min() * _NO_BIT
+
+
+def _affine_scan_(a: np.ndarray, b: np.ndarray, bound: float) -> int:
+    """In place: b[i] becomes x[i] of x[i] = a[i]*x[i-1] + b[i] with x[-1] = 0,
+    for 0 <= a <= 1 and ``bound`` at least every |b| the scan forms; returns
+    the number of doubling steps and leaves ``a`` as scratch.
 
     Hillis-Steele doubling: after the step of width d, (a[i], b[i]) is
-    the affine map of elements i-2d+1..i composed.  Once every a[i] is
-    zero the maps no longer reach back, and the remaining steps would
-    add only zeros.
+    the affine map of elements i-2d+1..i composed.  The loop stops once
+    every a is zero, or once max(a) * bound < min|b[d:]| * 2**-56: each
+    increment a[i]*b[i-d] is then under |b[i]| * 2**-56, an eighth of the
+    float gap at b[i], so round to nearest leaves b[i] as it is.  As
+    0 <= a <= 1, products of a only shrink, and each later step adds to
+    the same b on fewer elements, so the test holds for it too: the bits
+    are those of doubling until every a is zero.  Rounding, in the test
+    and in ``bound``, fits in the factor of two to the quarter gap, and
+    a zero b[i] never lets the test pass.  In ``_settle``, a[0] = 0 makes
+    max(a) that of a[d:], max|targets| bounds b, convex sums of targets,
+    and the steps skipped are those on subnormal a, many times slower.
     """
     d = 1
-    while d < a.size and a.any():
+    while d < a.size and not _bits_settled(a.max(), b[d:], bound):
         b[d:] += a[d:] * b[:-d]
         a[d:] *= a[:-d]
         d *= 2
+    return d.bit_length() - 1
 
 
-def _geometric_scan_(alpha: float, b: np.ndarray) -> None:
-    """``_affine_scan_`` of a[0] = 0 and a[1:] = ``alpha`` bit for bit: before the
-    step of width d, every a[i >= d] is alpha squared log2(d) times."""
+def _geometric_scan_(alpha: float, b: np.ndarray, bound: float) -> int:
+    """``_affine_scan_`` of a[0] = 0 and a[1:] = ``alpha`` bit for bit, steps and
+    stop included: before the step of width d, every a[i >= d] is alpha squared
+    log2(d) times, every other a is zero, and max(a) is that alpha."""
     d = 1
-    while d < b.size and alpha != 0.0:
+    while d < b.size and not _bits_settled(alpha, b[d:], bound):
         b[d:] += alpha * b[:-d]
         alpha *= alpha
         d *= 2
+    return d.bit_length() - 1
 
 
 def ber_vs_rate(

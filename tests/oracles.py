@@ -9,11 +9,11 @@ one gather per sample; the mutual-information oracle is Gauss-Hermite
 quadrature of the defining expectation, the analog cell oracle is
 the softplus hinge written with np.logaddexp, the full-array analog
 oracles are the cell kernel's formula applied to every value, the
-settling oracles are
-the per-symbol and per-step loops, the exit-flag oracle evaluates
-every cell at every symbol, and the CSV oracle is ``csv.writer``
-fed one formatted cell at a time, on row dicts that ``segment_rows``
-expands from segments.
+settling oracles are the per-symbol and per-step loops and the doubling
+scan run until its products are all zero, the exit-flag oracle
+evaluates every cell at every symbol, and the CSV oracle is
+``csv.writer`` fed one formatted cell at a time, on row dicts that
+``segment_rows`` expands from segments.
 """
 
 from __future__ import annotations
@@ -162,6 +162,20 @@ def cellwise_exit_flags(vin_seq: np.ndarray, cells) -> np.ndarray:
     if vin_seq.size > 1:
         flags[1:] = np.any((~act[:, :-1]) & act[:, 1:], axis=0)
     return flags
+
+
+def doubling_affine_scan(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """In place in b: x[i] = a[i]*x[i-1] + b[i] with x[-1] = 0 by Hillis-Steele
+    doubling, step after step until every a[i] is zero or the width reaches the
+    length.  Returns a copy of ``a`` before each step taken."""
+    before = []
+    d = 1
+    while d < a.size and a.any():
+        before.append(a.copy())
+        b[d:] += a[d:] * b[:-d]
+        a[d:] *= a[:-d]
+        d *= 2
+    return before
 
 
 def loop_sampled_outputs(targets, flags, symbol_rate: float, dp) -> np.ndarray:

@@ -507,6 +507,112 @@ class TestSortedRegimeKernel:
             self.assert_same_bits(np.array([v]).view(Nodes), dm)  # as one node
 
 
+class TestOffSlice:
+    """On ``Nodes`` a cell fills its off side, where the turn-on argument is at
+    most -37, with one constant and runs its passes on the live slice only;
+    the bits are the full formula's."""
+
+    @pytest.fixture(scope="class")
+    def bjt_cells(self, c, imap):
+        return [cell for cells in build_demapper(c, imap, "analog-bjt").cells for cell in cells]
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        runs = []
+
+        def counted(x, _kernel=analog._softplus_monotone_):
+            runs.append(x.size)
+            return _kernel(x)
+
+        monkeypatch.setattr(analog, "_softplus_monotone_", counted)
+        return runs
+
+    @staticmethod
+    def assert_same_bits(vin, cell):
+        nodes = np.asarray(vin, dtype=float).view(Nodes)
+        assert cell_output_v(nodes, cell).tobytes() == full_array_cell_output_v(vin, cell).tobytes()
+
+    @staticmethod
+    def ulps_around(v, n):
+        """The floats within ``n`` ulps of v, ascending."""
+        down, up = [v], [v]
+        for _ in range(n):
+            down.append(np.nextafter(down[-1], -np.inf))
+            up.append(np.nextafter(up[-1], np.inf))
+        return np.array(down[:0:-1] + up)
+
+    @staticmethod
+    def assert_exact_edge(cell):
+        edge, y = analog._off_side(cell)
+        toward_live = np.inf if cell.orientation == "ramp_above" else -np.inf
+        x = _softplus_args(np.array([edge, np.nextafter(edge, toward_live)]), cell)[0]
+        assert x[0] <= -37.0 < x[1]
+        assert np.array(y).tobytes() == full_array_cell_output_v(edge, cell).tobytes()
+
+    def test_every_bjt_cell_has_an_off_side_at_its_exact_edge(self, bjt_cells):
+        assert len(bjt_cells) == 17
+        for cell in bjt_cells:
+            self.assert_exact_edge(cell)
+
+    @pytest.mark.parametrize("orientation", ["ramp_above", "ramp_below"])
+    def test_exact_edges_of_other_cells(self, orientation):
+        # edge guesses that round to either side of the edge, knees and vrefs far from the presets'
+        for vref in (-0.7, -1e-310, 0.0, 0.1, 0.123456789, 0.3, 1.0 / 3.0, 0.59, 7.0, 1e6):
+            for knee in (1e-9, 1e-3, 0.0123, 1.0, 1e3):
+                cell = CellSpec(vref=vref, gain=1.0, isat_v=40.0 * knee, knee_eps=knee, polarity="pos",
+                                orientation=orientation)
+                self.assert_exact_edge(cell)
+                self.assert_same_bits(self.ulps_around(analog._off_side(cell)[0], 4), cell)
+
+    def test_points_within_four_ulps_of_the_edge(self, bjt_cells, sizes):
+        for cell in bjt_cells:
+            edge = analog._off_side(cell)[0]
+            near = self.ulps_around(edge, 4)
+            self.assert_same_bits(near, cell)
+            self.assert_same_bits(np.concatenate([np.linspace(edge - 0.1, edge, 50)[:-1], near,
+                                                  np.linspace(edge, edge + 0.1, 50)[1:]]), cell)
+            for v in near:
+                self.assert_same_bits([v], cell)
+        assert sizes
+
+    def test_all_off_all_live_single_and_empty(self, bjt_cells, sizes):
+        for cell in bjt_cells:
+            edge = analog._off_side(cell)[0]
+            off, on = (-1.0, 1.0) if cell.orientation == "ramp_above" else (1.0, -1.0)
+            all_off = np.sort(edge + off * np.linspace(0.0, 0.5, 101))
+            all_live = np.sort(np.nextafter(edge, edge + on) + on * np.linspace(0.0, 0.5, 101))
+            sizes.clear()
+            self.assert_same_bits(all_off, cell)
+            assert sizes == [0, 0]  # every pass on an empty live slice
+            sizes.clear()
+            self.assert_same_bits(all_live, cell)
+            assert sizes == [101, 101]
+            for vin in (all_off[:1], all_live[:1], np.array([])):
+                self.assert_same_bits(vin, cell)
+
+    def test_a_cell_that_fails_the_constant_condition_takes_the_full_path(self, sizes):
+        # a wide knee and a small ceiling: isat_v / eps_v = 2.5 < 37, so the saturation corner is never trivial
+        cell = CellSpec(vref=0.3, gain=1.2, isat_v=0.03, knee_eps=0.01, polarity="neg", orientation="ramp_below")
+        assert analog._off_side(cell) is None
+        vin = np.linspace(-1.0, 1.0, 2001)
+        self.assert_same_bits(vin, cell)
+        assert sizes == [vin.size, vin.size]
+        for ratio in (np.nextafter(37.0, 0.0), 37.0):  # isat_v / eps_v at the condition's edge
+            cell = replace(cell, isat_v=ratio * 0.012)
+            assert (analog._off_side(cell) is None) == (cell.isat_v / 0.012 < 37.0)
+            self.assert_same_bits(vin, cell)
+
+    def test_work_guard_softplus_runs_on_the_live_slice_only(self, c, imap, bjt_cells, sizes):
+        _, r = draw(c, from_snr_db(7.0), 12345, 0, 0, 16384)
+        vin = imap(np.sort(r).view(Nodes))
+        for cell in bjt_cells:
+            sizes.clear()
+            out = cell_output_v(vin, cell)
+            live = np.count_nonzero(_softplus_args(np.asarray(vin), cell)[0] > -37.0)
+            assert sum(sizes) <= 2 * live < 2 * vin.size
+            assert out.tobytes() == full_array_cell_output_v(np.asarray(vin), cell).tobytes()
+
+
 class TestNodesContract:
     """``channel.Nodes`` run the sliced kernels, the cells' softplus and the max-log
     slices, and nothing else does: any other input takes the general path, which

@@ -12,6 +12,7 @@ from demapsim.channel import draw, from_snr_db, transmit
 from demapsim.constellation import build_pam8
 from demapsim.dynamics import (
     SETTLED_CHUNK_SYMBOLS,
+    T_PLATEAU_BJT,
     DynamicsParams,
     _affine_scan_,
     _exit_flags,
@@ -24,7 +25,7 @@ from demapsim.harness import DEFAULT_CONFIG
 from demapsim.metrics import evaluate_demappers
 from demapsim.reference import exact_llr
 from demapsim.analog import CellSpec
-from oracles import cellwise_exit_flags, loop_sampled_outputs, loop_simulate_transient
+from oracles import cellwise_exit_flags, doubling_affine_scan, loop_sampled_outputs, loop_simulate_transient
 
 
 def bjt_params(**kwargs):
@@ -424,12 +425,14 @@ class TestSampledOutputs:
         # the engine's scan without a plateau: a[0] = 0 and every other a[i] one value
         rng = np.random.default_rng(n)
         for alpha in (0.0, 5e-324, math.exp(-50.0), math.exp(-5.0), 0.5, 0.999, 1.0):
-            b = rng.normal(size=n)
+            t = rng.normal(size=n)
+            b = (1.0 - alpha) * t
+            b[:1] = t[:1]
             a = np.full(n, alpha)
             a[:1] = 0.0
             want, got = b.copy(), b.copy()
-            _affine_scan_(a, want)
-            _geometric_scan_(alpha, got)
+            steps = _affine_scan_(a, want, np.abs(t).max(initial=0.0))
+            assert _geometric_scan_(alpha, got, np.abs(t).max(initial=0.0)) == steps
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
@@ -513,3 +516,115 @@ class TestTransientEngine:
         for k in (1, 2, 3):
             for rate in (5e7, 3e8, 1e9):
                 self.assert_matches_loop(seq, rate, d, k, dp, 2)
+
+
+def _is_subnormal(a) -> bool:
+    a = np.abs(np.asarray(a, dtype=float))
+    return bool(np.any((a > 0.0) & (a < np.finfo(float).tiny)))
+
+
+class TestScans:
+    """The settling scans stop early but keep the bits of the doubling loop
+    (``oracles.doubling_affine_scan``), which runs until every a is zero."""
+
+    @staticmethod
+    def assert_pinned(a, b, bound):
+        """Both scans against the loop, bit for bit; their step counts."""
+        want = b.copy()
+        before = doubling_affine_scan(a.copy(), want)
+        got = b.copy()
+        steps = _affine_scan_(a.copy(), got, bound)
+        assert got.tobytes() == want.tobytes() and steps <= len(before)
+        if a.size and a[0] == 0.0 and np.all(a[1:] == a[-1]):  # a geometric a: the other scan too
+            got = b.copy()
+            assert _geometric_scan_(float(a[-1]), got, bound) == steps
+            assert got.tobytes() == want.tobytes()
+        return steps, len(before)
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Each scan ``_settle`` runs, checked against the loop: (steps, loop steps,
+        whether a step ran on or made a subnormal a)."""
+        runs = []
+
+        def affine(a, b, bound):
+            want = b.copy()
+            before = doubling_affine_scan(a.copy(), want)
+            steps = _affine_scan_(a, b, bound)
+            assert b.tobytes() == want.tobytes()
+            runs.append((steps, len(before), any(map(_is_subnormal, before[:steps])) or _is_subnormal(a)))
+            return steps
+
+        def geometric(alpha, b, bound):
+            a = np.full(b.size, alpha)
+            a[:1] = 0.0
+            want = b.copy()
+            before = doubling_affine_scan(a, want)
+            steps = _geometric_scan_(alpha, b, bound)
+            assert b.tobytes() == want.tobytes()
+            powers = [alpha ** (2**j) for j in range(steps + 1)]  # alpha before each step, and after the last
+            runs.append((steps, len(before), any(map(_is_subnormal, powers))))
+            return steps
+
+        monkeypatch.setattr(dynamics, "_affine_scan_", affine)
+        monkeypatch.setattr(dynamics, "_geometric_scan_", geometric)
+        return runs
+
+    @pytest.mark.parametrize("n", [0, 1, 2, SETTLED_CHUNK_SYMBOLS])
+    def test_special_values(self, n):
+        tiny, sub = 1e-300, 5e-324
+        rng = np.random.default_rng(n)
+        a = rng.choice([0.0, 1.0, tiny, sub, 2.2e-308, 1e-20, 0.3, 0.999], size=n)
+        t = rng.choice([0.0, -0.0, -1.5, 1.6, -1e-300, 0.25, -3.0], size=n)
+        # b in the engine's form, so max|t| bounds every partial sum and the stop can fire
+        b = (1.0 - a) * t
+        self.assert_pinned(a, b, np.abs(t).max(initial=0.0))
+        nonzero = np.where(t == 0.0, 1.0, t)
+        self.assert_pinned(a, (1.0 - a) * nonzero, np.abs(nonzero).max(initial=0.0))
+        # any b: the sum of |b| bounds every partial sum
+        self.assert_pinned(a, t, np.abs(t).sum())
+        for alpha in (0.0, sub, tiny, 1e-20, 0.3, 1.0):
+            g = np.full(n, alpha)
+            g[:1] = 0.0
+            self.assert_pinned(g, (1.0 - g) * nonzero, np.abs(nonzero).max(initial=0.0))
+
+    def test_the_stop_fires_where_no_bit_can_change(self):
+        a = np.full(SETTLED_CHUNK_SYMBOLS, 1e-10)
+        a[0] = 0.0
+        b = 1.0 - a
+        steps, loop_steps = self.assert_pinned(a, b, 1.0)
+        assert steps == 1 < loop_steps  # 1e-20 after one step: under 2**-56
+
+    def test_a_zero_target_keeps_the_loop_running(self):
+        # a zero target of a settled symbol stays an exact 0 in b: no step may be skipped
+        n = 4096
+        t = np.linspace(0.2, 1.6, n)
+        for a in (np.full(n, 1e-10), np.random.default_rng(0).uniform(0.0, 1e-3, n)):
+            a[0] = a[n // 2] = 0.0
+            t[n // 2] = 0.0
+            steps, loop_steps = self.assert_pinned(a, (1.0 - a) * t, 1.6)
+            assert steps == loop_steps
+            t[n // 2] = 0.1
+            steps, loop_steps = self.assert_pinned(a, (1.0 - a) * t, 1.6)
+            assert steps < loop_steps
+
+    @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
+    @pytest.mark.parametrize("rate", DEFAULT_RATES + [1e9, 2e9])
+    def test_settling_inputs_at_every_rate(self, c, imap, preset, rate, scans):
+        d = build_demapper(c, imap, preset)
+        plateaus = [T_PLATEAU_BJT, 5e-9] if preset == "analog-bjt" else [0.0]
+        for t_plateau in plateaus:
+            dp = DynamicsParams.for_mode(preset, t_plateau_bjt=t_plateau)
+            for k in (1, 2, 3):
+                targets, flags = settling_inputs(d, k, SETTLED_CHUNK_SYMBOLS, seed=int(rate) % 977 + k)
+                sampled_outputs(targets, flags, rate, dp)
+                targets[k * 1000] = 0.0  # a zero target: the stop must not fire
+                sampled_outputs(targets, flags, rate, dp)
+        assert len(scans) == 6 * len(plateaus)
+        for j, (steps, loop_steps, subnormal) in enumerate(scans):
+            assert not subnormal  # work guard: no step runs on, or makes, a subnormal a
+            assert steps <= loop_steps
+            if j % 2:
+                assert steps >= 1  # b holds the zero until the first step
+            elif rate == 5e7 and j < 6:  # work guard: settled within a period, no step at all
+                assert steps == 0
