@@ -138,14 +138,11 @@ def _softplus_monotone_(x: np.ndarray) -> np.ndarray:
     j = bisect.bisect_left(x, _SOFTPLUS_EDGE, key=key)
     m = bisect.bisect_left(x, 0.0, i, j, key=key)  # the band's sign change; every search ends before any write
     low, neg, pos = (x[j:], x[m:j], x[i:m]) if key else (x[:i], x[i:m], x[m:j])  # a 0 gives ln 2 in neg or pos
-    if low.size:  # each slice may be empty, and a ufunc costs a call even then
-        np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
-        np.exp(low, out=low)
-    if neg.size:
-        np.log1p(np.exp(neg, out=neg), out=neg)
-    if pos.size:
-        tail = np.negative(pos)
-        pos += np.log1p(np.exp(tail, out=tail), out=tail)
+    np.maximum(low, -_SOFTPLUS_CLAMP, out=low)
+    np.exp(low, out=low)
+    np.log1p(np.exp(neg, out=neg), out=neg)
+    tail = np.negative(pos)
+    pos += np.log1p(np.exp(tail, out=tail), out=tail)
     return x
 
 

@@ -204,10 +204,10 @@ def _bits_settled(a_max: float, b: np.ndarray, bound: float) -> bool:
     return a_max == 0.0 or a_max < _NO_BIT and a_max * bound < np.abs(b).min() * _NO_BIT
 
 
-def _affine_scan_(a: np.ndarray, b: np.ndarray, bound: float) -> int:
+def _affine_scan_(a: np.ndarray, b: np.ndarray, bound: float) -> None:
     """In place: b[i] becomes x[i] of x[i] = a[i]*x[i-1] + b[i] with x[-1] = 0,
-    for 0 <= a <= 1 and ``bound`` at least every |b| the scan forms; returns
-    the number of doubling steps and leaves ``a`` as scratch.
+    for 0 <= a <= 1 and ``bound`` at least every |b| the scan forms; ``a`` is
+    left as scratch.
 
     Hillis-Steele doubling: after the step of width d, (a[i], b[i]) is
     the affine map of elements i-2d+1..i composed.  The loop stops once
@@ -227,10 +227,9 @@ def _affine_scan_(a: np.ndarray, b: np.ndarray, bound: float) -> int:
         b[d:] += a[d:] * b[:-d]
         a[d:] *= a[:-d]
         d *= 2
-    return d.bit_length() - 1
 
 
-def _geometric_scan_(alpha: float, b: np.ndarray, bound: float) -> int:
+def _geometric_scan_(alpha: float, b: np.ndarray, bound: float) -> None:
     """``_affine_scan_`` of a[0] = 0 and a[1:] = ``alpha`` bit for bit, steps and
     stop included: before the step of width d, every a[i >= d] is alpha squared
     log2(d) times, every other a is zero, and max(a) is that alpha."""
@@ -239,7 +238,6 @@ def _geometric_scan_(alpha: float, b: np.ndarray, bound: float) -> int:
         b[d:] += alpha * b[:-d]
         alpha *= alpha
         d *= 2
-    return d.bit_length() - 1
 
 
 def ber_vs_rate(

@@ -425,15 +425,16 @@ class TestSampledOutputs:
         # the engine's scan without a plateau: a[0] = 0 and every other a[i] one value
         rng = np.random.default_rng(n)
         for alpha in (0.0, 5e-324, math.exp(-50.0), math.exp(-5.0), 0.5, 0.999, 1.0):
-            t = rng.normal(size=n)
-            b = (1.0 - alpha) * t
-            b[:1] = t[:1]
+            b = rng.normal(size=n)
             a = np.full(n, alpha)
             a[:1] = 0.0
-            want, got = b.copy(), b.copy()
-            steps = _affine_scan_(a, want, np.abs(t).max(initial=0.0))
-            assert _geometric_scan_(alpha, got, np.abs(t).max(initial=0.0)) == steps
-            assert np.array_equal(got, want)
+            engine = (1.0 - alpha) * b  # b as ``_settle`` forms it from targets b: max|b| bounds its partial sums
+            engine[:1] = b[:1]
+            for rhs, bound in ((b, np.abs(b).sum(initial=0.0)), (engine, np.abs(b).max(initial=0.0))):
+                want, got = rhs.copy(), rhs.copy()
+                steps = scan_steps(_affine_scan_, a.copy(), want, bound)
+                assert scan_steps(_geometric_scan_, alpha, got, bound) == steps
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("preset", ["analog-bjt", "analog-mosfet"], ids=["bjt", "mosfet"])
     @pytest.mark.parametrize("sps, fraction", [(20, 0.95), (16, 0.5), (4, 1.0)])
@@ -518,6 +519,20 @@ class TestTransientEngine:
                 self.assert_matches_loop(seq, rate, d, k, dp, 2)
 
 
+def scan_steps(scan, *args) -> int:
+    """Run a settling scan; the doubling steps it took, counted as the stop tests it failed."""
+    verdicts = []
+
+    def counted(*test, _settled=dynamics._bits_settled):
+        verdicts.append(_settled(*test))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_bits_settled", counted)
+        scan(*args)
+    return verdicts.count(False)
+
+
 def _is_subnormal(a) -> bool:
     a = np.abs(np.asarray(a, dtype=float))
     return bool(np.any((a > 0.0) & (a < np.finfo(float).tiny)))
@@ -533,11 +548,11 @@ class TestScans:
         want = b.copy()
         before = doubling_affine_scan(a.copy(), want)
         got = b.copy()
-        steps = _affine_scan_(a.copy(), got, bound)
+        steps = scan_steps(_affine_scan_, a.copy(), got, bound)
         assert got.tobytes() == want.tobytes() and steps <= len(before)
         if a.size and a[0] == 0.0 and np.all(a[1:] == a[-1]):  # a geometric a: the other scan too
             got = b.copy()
-            assert _geometric_scan_(float(a[-1]), got, bound) == steps
+            assert scan_steps(_geometric_scan_, float(a[-1]), got, bound) == steps
             assert got.tobytes() == want.tobytes()
         return steps, len(before)
 
@@ -550,21 +565,19 @@ class TestScans:
         def affine(a, b, bound):
             want = b.copy()
             before = doubling_affine_scan(a.copy(), want)
-            steps = _affine_scan_(a, b, bound)
+            steps = scan_steps(_affine_scan_, a, b, bound)
             assert b.tobytes() == want.tobytes()
             runs.append((steps, len(before), any(map(_is_subnormal, before[:steps])) or _is_subnormal(a)))
-            return steps
 
         def geometric(alpha, b, bound):
             a = np.full(b.size, alpha)
             a[:1] = 0.0
             want = b.copy()
             before = doubling_affine_scan(a, want)
-            steps = _geometric_scan_(alpha, b, bound)
+            steps = scan_steps(_geometric_scan_, alpha, b, bound)
             assert b.tobytes() == want.tobytes()
             powers = [alpha ** (2**j) for j in range(steps + 1)]  # alpha before each step, and after the last
             runs.append((steps, len(before), any(map(_is_subnormal, powers))))
-            return steps
 
         monkeypatch.setattr(dynamics, "_affine_scan_", affine)
         monkeypatch.setattr(dynamics, "_geometric_scan_", geometric)
